@@ -23,7 +23,6 @@ from .control import (
     decide_action_simple,
     kolmogorov_distance,
     optimal_pulse_probability,
-    pulse_matrix,
 )
 from .errors import (
     AllZeroError,
@@ -44,6 +43,7 @@ from .filtering import (
     generator,
     posterior_update,
     propagate_prior,
+    pulse_matrix,
     run_filter,
     step_matrix,
     trace_log_likelihood,

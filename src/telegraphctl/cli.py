@@ -176,12 +176,15 @@ def cmd_estimate_rates(args) -> int:
         marg = result.reported_marginals()
         if not result.converged:
             all_converged = False
+            # a point mass at zero rate has no relative spread to report
+            ratios = ", ".join(
+                f"{name} {post.rms / post.mean:.3f}"
+                for name, post in marg.as_dict().items()
+                if post.mean > 0.0
+            )
             warnings.warn(
                 f"{path}: data exhausted before the stopping rule fired "
-                f"(final rms/mean: "
-                f"{marg.r21.rms / marg.r21.mean:.3f}, "
-                f"{marg.r10.rms / marg.r10.mean:.3f}, "
-                f"{marg.r_repump.rms / marg.r_repump.mean:.3f})",
+                f"(final rms/mean: {ratios})",
                 NotConvergedWarning,
             )
         reports.append(

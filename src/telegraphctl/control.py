@@ -3,10 +3,13 @@
 Two policies are provided. The optimal policy minimizes the Kolmogorov
 (total-variation) distance between the post-pulse belief and the target
 over the pulse transition probability, separately for each pulse direction,
-and fires the better one. The simplified threshold policy fires a fixed-T
-repump pulse when p0 dominates and a fixed-T depump pulse when p2 dominates;
-simulations show it performs within a couple of percentage points of the
-optimal policy, which is why the fixed-T variant is the default.
+and fires the better one. Each post-pulse component is a quadratic in the
+transition probability, so the distance is piecewise quadratic and its
+minimizer is found exactly among a handful of closed-form candidates. The
+simplified threshold policy fires a fixed-T repump pulse when p0 dominates
+and a fixed-T depump pulse when p2 dominates; simulations show it performs
+within a couple of percentage points of the optimal policy, which is why the
+fixed-T variant is the default.
 
 The default fixed transition probabilities below were chosen by a coarse
 sweep over T in {0.1, ..., 0.9} maximizing the mean posterior occupancy of
@@ -23,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .filtering import pulse_matrix
 from .model import Belief, Pulse, normalize
 from .simulate import PulseSpec
 
@@ -72,39 +76,6 @@ def kolmogorov_distance(p: Belief, q: Belief) -> float:
     return 0.5 * math.fsum(abs(a - b) for a, b in zip(p.as_tuple(), q.as_tuple()))
 
 
-def _pin_column(col: list[float]) -> list[float]:
-    # Nudge the largest entry by a few ulp until the float sum is exactly
-    # 1.0; the largest entry absorbs the correction without changing sign.
-    pin = max(range(len(col)), key=col.__getitem__)
-    for _ in range(4):
-        total = math.fsum(col)
-        if total == 1.0:
-            break
-        col[pin] -= total - 1.0
-    return col
-
-
-def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
-    """Column-stochastic action of one pulse on a belief vector.
-
-    For repumping, column alpha holds the binomial flip distribution of the
-    2-alpha addressable lower-level atoms over the reachable states, and the
-    top state is absorbing; depumping is the index-reversed mirror. Column
-    sums are exactly 1.0 in floating point and entries are non-negative.
-    """
-    t = transition_probability
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("transition probability must be in [0, 1]")
-    u = 1.0 - t
-    col_both = _pin_column([u * u, 2.0 * t * u, t * t])  # two addressable atoms
-    col_one = _pin_column([0.0, u, t])  # one addressable atom
-    if direction == Pulse.REPUMP:
-        return np.array([col_both, col_one, [0.0, 0.0, 1.0]]).T
-    if direction == Pulse.DEPUMP:
-        return np.array([[1.0, 0.0, 0.0], col_one[::-1], col_both[::-1]]).T
-    raise ValueError("direction must be REPUMP or DEPUMP")
-
-
 def _pulse_quadratics(belief: Belief, direction: Pulse) -> list[tuple[float, float, float]]:
     """Coefficients (c2, c1, c0) of each post-pulse belief component as a
     quadratic in the transition probability T."""
@@ -136,81 +107,50 @@ def optimal_pulse_probability(
 ) -> tuple[float, float]:
     """(T*, k*) minimizing the post-pulse Kolmogorov distance over T in [0,1].
 
-    Each post-pulse component is a quadratic in T, so the objective is
-    piecewise quadratic with at most a few kinks. Candidate minimizers are
-    the interval endpoints, the kink locations (component sign changes) and
-    the vertex of the smooth piece around the best coarse-scan point; a
-    golden-section refinement polishes the winner to well below 1e-6 in T.
-    Ties resolve to the smallest minimizing T.
+    Each post-pulse component minus its target is a quadratic in T, so the
+    objective is piecewise quadratic with kinks where a component crosses
+    its target. The exact candidate set is the endpoints 0 and 1, every kink
+    in (0, 1), and the vertex of each convex piece between consecutive
+    kinks (the piece's sign pattern is read at its midpoint). Ties resolve
+    to the smallest minimizing T.
     """
     quads = _pulse_quadratics(belief, direction)
     g = target.as_tuple()
-
-    def k_of(t: float) -> float:
-        return _post_pulse_distance(t, quads, target)
-
-    candidates = {0.0, 1.0}
+    crossings = {0.0, 1.0}
     for (c2, c1, c0), gi in zip(quads, g):
-        for r in _quadratic_roots(c2, c1, c0 - gi):
-            if 0.0 < r < 1.0:
-                candidates.add(r)
-
-    # Coarse scan to bracket the global minimum of the piecewise objective.
-    grid = [i / 200.0 for i in range(201)]
-    vals = [k_of(t) for t in grid]
-    i_best = min(range(len(grid)), key=lambda i: (vals[i], grid[i]))
-    lo = grid[max(i_best - 1, 0)]
-    hi = grid[min(i_best + 1, len(grid) - 1)]
-    t_ref, _ = _golden_section(k_of, lo, hi, tol=1e-9)
-    candidates.add(t_ref)
-
-    # Vertex of the signed quadratic piece at the refined point.
-    a2 = a1 = 0.0
-    for (c2, c1, c0), gi in zip(quads, g):
-        s = 1.0 if (c2 * t_ref + c1) * t_ref + c0 - gi >= 0.0 else -1.0
-        a2 += s * c2
-        a1 += s * c1
-    if a2 > 0.0:
-        v = -a1 / (2.0 * a2)
-        if 0.0 <= v <= 1.0:
-            candidates.add(v)
-
-    ordered = sorted(candidates)
-    k_vals = [k_of(t) for t in ordered]
+        crossings.update(r for r in _quadratic_roots(c2, c1, c0 - gi) if 0.0 < r < 1.0)
+    kinks = sorted(crossings)
+    candidates = list(kinks)
+    for lo, hi in zip(kinks, kinks[1:]):
+        mid = 0.5 * (lo + hi)
+        a2 = a1 = 0.0
+        for (c2, c1, c0), gi in zip(quads, g):
+            s = 1.0 if (c2 * mid + c1) * mid + c0 - gi >= 0.0 else -1.0
+            a2 += s * c2
+            a1 += s * c1
+        if a2 > 0.0:
+            v = -a1 / (2.0 * a2)
+            if lo < v < hi:
+                candidates.append(v)
+    candidates.sort()
+    k_vals = [_post_pulse_distance(t, quads, target) for t in candidates]
     k_min = min(k_vals)
-    for t, k in zip(ordered, k_vals):
+    for t, k in zip(candidates, k_vals):
         if k <= k_min + _TIE_EPS:
             return t, k
     raise AssertionError("unreachable")
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a*x^2 + b*x + c, in the cancellation-free form that
+    keeps the small root accurate when a is tiny."""
     if a == 0.0:
         return [] if b == 0.0 else [-c / b]
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []
-    s = math.sqrt(disc)
-    return [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
-
-
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
 
 
 def _predicted(belief: Belief, t: float, action: Pulse) -> Belief:

@@ -9,16 +9,23 @@ trace index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .control import ControlPolicy, ControlDecision, decide_action
 from .filtering import FilterConfig, posterior_update, propagate_prior, run_filter
-from .model import Belief, PhotonCountModel, Pulse, TraceRecord, TransitionRates
+from .model import Belief, PhotonCountModel, Pulse, TraceRecord
 from .rng import PortableRandom, derive_seed
-from .simulate import PulseSpec, SimConfig, TraceEvents, run_trace_events
+from .simulate import (
+    PulseSpec,
+    SimConfig,
+    TraceEvents,
+    emit_photons,
+    run_trace_events,
+    states_at_bin_ends,
+)
 
 
 class FeedbackController:
@@ -81,18 +88,12 @@ def run_closed_loop_ensemble(
 ) -> list[ClosedLoopRun]:
     """n_traces independent closed-loop runs with derived per-trace seeds."""
     base = sim_config.rng_seed if master_seed is None else master_seed
-    runs = []
-    for i in range(n_traces):
-        cfg = SimConfig(
-            rates=sim_config.rates,
-            photon_model=sim_config.photon_model,
-            bin_time=sim_config.bin_time,
-            n_bins=sim_config.n_bins,
-            initial_state=sim_config.initial_state,
-            rng_seed=derive_seed(base, i),
+    return [
+        run_closed_loop(
+            replace(sim_config, rng_seed=derive_seed(base, i)), filter_config, policy
         )
-        runs.append(run_closed_loop(cfg, filter_config, policy))
-    return runs
+        for i in range(n_traces)
+    ]
 
 
 @dataclass
@@ -113,14 +114,7 @@ def run_open_loop_ensemble(
     base = sim_config.rng_seed if master_seed is None else master_seed
     runs = []
     for i in range(n_traces):
-        cfg = SimConfig(
-            rates=sim_config.rates,
-            photon_model=sim_config.photon_model,
-            bin_time=sim_config.bin_time,
-            n_bins=sim_config.n_bins,
-            initial_state=sim_config.initial_state,
-            rng_seed=derive_seed(base, i),
-        )
+        cfg = replace(sim_config, rng_seed=derive_seed(base, i))
         records, events = run_trace_events(cfg, None)
         posteriors = run_filter(records, filter_config) if filter_config else []
         runs.append(OpenLoopRun(records, posteriors, events, cfg.rng_seed))
@@ -165,19 +159,12 @@ def observe_chain(
     a count drawn from the end-of-bin state under the model rescaled to this
     bin length. Re-observing the same chain at several bin lengths is the
     bin-time robustness protocol."""
-    from .simulate import states_at_bin_ends
-
     model = photon_model.rescaled(bin_time)
     rng = PortableRandom(seed)
-    records = []
-    for i, state in enumerate(states_at_bin_ends(events, bin_time)):
-        count = (
-            rng.poisson(model.mean_counts[state])
-            if model.family == "poisson"
-            else rng.neg_binomial(model.mean_counts[state], model.fano)
-        )
-        records.append(TraceRecord(i, count, Pulse.NONE, true_state=state))
-    return records
+    return [
+        TraceRecord(i, emit_photons(state, model, rng), Pulse.NONE, true_state=state)
+        for i, state in enumerate(states_at_bin_ends(events, bin_time))
+    ]
 
 
 def rebin_counts(
@@ -209,20 +196,3 @@ def rebin_counts(
         )
     return out
 
-
-def make_default_sim_config(
-    rates: TransitionRates,
-    photon_model: PhotonCountModel,
-    bin_time: float,
-    n_bins: int,
-    seed: int,
-    initial_state: int = 2,
-) -> SimConfig:
-    return SimConfig(
-        rates=rates,
-        photon_model=photon_model.rescaled(bin_time),
-        bin_time=bin_time,
-        n_bins=n_bins,
-        initial_state=initial_state,
-        rng_seed=seed,
-    )

@@ -1,5 +1,6 @@
 """Per-bin belief updates: Bayes posterior from counts, linearized
-rate-equation prior propagation, and pulse-conditioned belief transforms.
+rate-equation prior propagation, and pulse matrices with the
+pulse-conditioned belief transforms built on them.
 
 Propagation applies I + dt*G with the generator G built in generator().
 Continuous depumping is deliberately absent from G (in the belief model it
@@ -27,6 +28,7 @@ from .model import (
     TransitionRates,
     log_likelihoods,
     normalize,
+    pin_unit_sum,
 )
 
 GUARD_LIMIT = 0.5
@@ -61,31 +63,22 @@ def check_guard(rates: TransitionRates, dt: float) -> None:
         )
 
 
-def _pin_column(col: list[float], pin: int) -> list[float]:
-    # Nudge entry ``pin`` by a few ulp until the float column sum is exactly 1.
-    for _ in range(4):
-        total = math.fsum(col)
-        if total == 1.0:
-            break
-        col[pin] -= total - 1.0
-    return [0.0 if abs(x) == 0.0 else x for x in col]
-
-
 def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
     """Linearized one-step transition matrix I + dt*G.
 
     Columns are pinned to sum to exactly 1.0 in floating point; entries are
-    non-negative whenever the validity guard holds.
+    non-negative whenever the validity guard holds, which also makes each
+    column's diagonal its largest entry (the one the pinning adjusts).
     """
     check_guard(rates, dt)
     a = 2.0 * rates.r_repump * dt
     b = rates.r10 * dt
     c = rates.r_repump * dt
     d = rates.r21 * dt
-    col0 = _pin_column([1.0 - a, a, 0.0], 0)
-    col1 = _pin_column([b, 1.0 - (b + c), c], 1)
-    col2 = _pin_column([0.0, d, 1.0 - d], 2)
-    return np.array([col0, col1, col2]).T
+    cols = [[1.0 - a, a, 0.0], [b, 1.0 - (b + c), c], [0.0, d, 1.0 - d]]
+    return np.array(
+        [[0.0 if x == 0.0 else x for x in pin_unit_sum(col)] for col in cols]
+    ).T
 
 
 def exact_step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
@@ -116,13 +109,9 @@ class FilterConfig:
             check_guard(self.rates, self.bin_time)
 
 
-def posterior_from_log_likelihoods(
-    prior: Belief, logl: Sequence[float]
-) -> Belief:
-    """Bayes update from per-state log-likelihoods, in the log domain so
-    extreme counts cannot underflow unless the posterior is genuinely
-    all-zero. Equal log-likelihoods reproduce the prior up to roundoff; a
-    delta prior is an exact fixed point for any observation."""
+def _bayes_step(prior: Belief, logl: Sequence[float]) -> tuple[Belief, float]:
+    """Log-domain Bayes update: the posterior and the log-evidence
+    log sum_a p(n | a) prior_a of the observation."""
     scores = []
     for lp, pa in zip(logl, prior.as_tuple()):
         if pa <= 0.0 or lp == -math.inf:
@@ -132,7 +121,18 @@ def posterior_from_log_likelihoods(
     m = max(scores)
     if m == -math.inf:
         raise AllZeroError("observation has zero likelihood under every supported state")
-    return normalize(tuple(0.0 if s == -math.inf else math.exp(s - m) for s in scores))
+    weights = tuple(0.0 if s == -math.inf else math.exp(s - m) for s in scores)
+    return normalize(weights), m + math.log(math.fsum(weights))
+
+
+def posterior_from_log_likelihoods(
+    prior: Belief, logl: Sequence[float]
+) -> Belief:
+    """Bayes update from per-state log-likelihoods, in the log domain so
+    extreme counts cannot underflow unless the posterior is genuinely
+    all-zero. Equal log-likelihoods reproduce the prior up to roundoff; a
+    delta prior is an exact fixed point for any observation."""
+    return _bayes_step(prior, logl)[0]
 
 
 def posterior_update(prior: Belief, n: int, model: PhotonCountModel) -> Belief:
@@ -160,6 +160,27 @@ def propagate_prior(
         raise ValueError(f"unknown propagation method {method!r}")
     p = m @ np.asarray(posterior.as_tuple())
     return normalize(p)
+
+
+def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
+    """Column-stochastic action of one pulse on a belief vector.
+
+    For repumping, column alpha holds the binomial flip distribution of the
+    2-alpha addressable lower-level atoms over the reachable states, and the
+    top state is absorbing; depumping is the index-reversed mirror. Column
+    sums are exactly 1.0 in floating point and entries are non-negative.
+    """
+    t = transition_probability
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("transition probability must be in [0, 1]")
+    u = 1.0 - t
+    col_both = pin_unit_sum([u * u, 2.0 * t * u, t * t])  # two addressable atoms
+    col_one = pin_unit_sum([0.0, u, t])  # one addressable atom
+    if direction == Pulse.REPUMP:
+        return np.array([col_both, col_one, [0.0, 0.0, 1.0]]).T
+    if direction == Pulse.DEPUMP:
+        return np.array([[1.0, 0.0, 0.0], col_one[::-1], col_both[::-1]]).T
+    raise ValueError("direction must be REPUMP or DEPUMP")
 
 
 def apply_pulse_to_belief(belief: Belief, matrix: np.ndarray) -> Belief:
@@ -198,9 +219,6 @@ def run_filter(records: Sequence[TraceRecord], config: FilterConfig) -> list[Bel
 def _fold_pulse(post: Belief, pulse: Pulse, config: FilterConfig) -> Belief:
     if pulse == Pulse.NONE:
         return post
-    # Imported here: control builds on this module's primitives.
-    from .control import pulse_matrix
-
     t = config.repump_t if pulse == Pulse.REPUMP else config.depump_t
     if t is None:
         raise ValueError(
@@ -218,15 +236,10 @@ def trace_log_likelihood(records: Sequence[TraceRecord], config: FilterConfig) -
     for rec in records:
         prior = propagate_prior(belief, config.rates, config.bin_time, config.propagation)
         logl = log_likelihoods(config.photon_model, rec.photon_count)
-        terms = [
-            lp + math.log(pa)
-            for lp, pa in zip(logl, prior.as_tuple())
-            if pa > 0.0 and lp > -math.inf
-        ]
-        if not terms:
+        try:
+            post, log_evidence = _bayes_step(prior, logl)
+        except AllZeroError:
             return -math.inf
-        m = max(terms)
-        total += m + math.log(math.fsum(math.exp(t - m) for t in terms))
-        post = posterior_update(prior, rec.photon_count, config.photon_model)
+        total += log_evidence
         belief = _fold_pulse(post, rec.pulse, config)
     return total

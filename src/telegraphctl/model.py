@@ -39,21 +39,28 @@ def check_state(alpha: int) -> int:
     return alpha
 
 
+def pin_unit_sum(values: list[float]) -> list[float]:
+    """Nudge the largest entry (in place) by a few ulp until the exactly
+    rounded sum (math.fsum) is 1.0; the largest entry absorbs the correction
+    without changing sign. Returns the same list."""
+    total = math.fsum(values)
+    if total != 1.0:
+        i = values.index(max(values))
+        for _ in range(4):
+            values[i] -= total - 1.0
+            total = math.fsum(values)
+            if total == 1.0:
+                break
+    return values
+
+
 def _pinned_triple(w0: float, w1: float, w2: float) -> tuple[float, float, float]:
-    """Scale to unit sum, then nudge the largest component by a few ulp so
-    the exactly-rounded sum (math.fsum) is 1.0; already-normalized input is
-    returned unchanged, which makes normalization idempotent."""
+    """Scale to unit sum, then pin the exact sum to 1.0; already-normalized
+    input is returned unchanged, which makes normalization idempotent."""
     if math.fsum((w0, w1, w2)) == 1.0:
         return (w0, w1, w2)
     s = w0 + w1 + w2
-    v = [w0 / s, w1 / s, w2 / s]
-    i = max(range(3), key=v.__getitem__)
-    for _ in range(4):
-        total = math.fsum(v)
-        if total == 1.0:
-            break
-        v[i] -= total - 1.0
-    return (v[0], v[1], v[2])
+    return tuple(pin_unit_sum([w0 / s, w1 / s, w2 / s]))
 
 
 @dataclass(frozen=True)

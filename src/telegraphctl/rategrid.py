@@ -223,6 +223,19 @@ def _bayes_weights(model: PhotonCountModel, n: int) -> np.ndarray:
     return np.exp(logl - m)
 
 
+def _step(
+    prop, joint: np.ndarray, out: np.ndarray, model: PhotonCountModel, n: int
+) -> None:
+    """One generalized Bayes step into ``out``: per-cell prior propagation,
+    reweighting by p(n | alpha), renormalization of the whole grid."""
+    prop.apply(joint, out)
+    out *= _bayes_weights(model, n)[:, None, None, None]
+    total = out.sum()
+    if total <= 0.0:
+        raise AllZeroError("grid mass underflowed to zero")
+    out /= total
+
+
 def update(
     grid: RateGrid,
     n: int,
@@ -235,16 +248,7 @@ def update(
     if method not in ("linear", "exact"):
         raise ValueError("method must be 'linear' or 'exact'")
     out = np.empty_like(grid.joint)
-    if dt == 0.0:
-        np.copyto(out, grid.joint)
-    else:
-        _propagator(grid.spec, dt, method).apply(grid.joint, out)
-    weights = _bayes_weights(model, n)
-    out *= weights[:, None, None, None]
-    total = out.sum()
-    if total <= 0.0:
-        raise AllZeroError("grid mass underflowed to zero")
-    out /= total
+    _step(_propagator(grid.spec, dt, method), grid.joint, out, model, n)
     return RateGrid(grid.spec, out)
 
 
@@ -349,13 +353,7 @@ def run_estimation(
     snapshots = []
     n_seen = 0
     for rec in records:
-        prop.apply(joint, buf)
-        weights = _bayes_weights(model, rec.photon_count)
-        buf *= weights[:, None, None, None]
-        total = buf.sum()
-        if total <= 0.0:
-            raise AllZeroError("grid mass underflowed to zero")
-        buf /= total
+        _step(prop, joint, buf, model, rec.photon_count)
         joint, buf = buf, joint
         grid.joint = joint
         n_seen += 1

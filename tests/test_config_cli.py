@@ -196,6 +196,32 @@ class TestCli:
         report = json.loads((out / "rates_report.json").read_text())
         assert report["reports"][0]["converged"] is False
 
+    def test_estimate_rates_zero_rate_axis_not_converged(self, out, tmp_path):
+        # a point mass at zero repump rate has mean 0; the not-converged
+        # warning must not divide by it
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(
+            "rates.repump_per_s = 0.0\nsim.n_bins = 50\n"
+            "grid.repump.min_per_s = 0\ngrid.repump.max_per_s = 0\n"
+            "grid.repump.points = 1\n"
+        )
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+        with pytest.warns(UserWarning, match="stopping rule") as caught:
+            rc = main(
+                [
+                    "estimate-rates",
+                    str(sim_out / "trace_0000.csv"),
+                    "--config",
+                    str(cfg),
+                    "--out",
+                    str(out),
+                ]
+            )
+        assert rc == 3
+        message = str(caught[0].message)
+        assert "r21" in message and "r10" in message and "r_repump" not in message
+
     def test_feedback_summary(self, out):
         rc = main(
             ["feedback", "--traces", "3", "--bins", "200", "--seed", "7", "--out", str(out)]

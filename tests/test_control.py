@@ -21,6 +21,28 @@ def random_beliefs(n, seed=0):
     return [normalize(w) for w in rng.dirichlet(np.ones(3), size=n)]
 
 
+def near_boundary_cases(n, seed=0):
+    """(belief, target) pairs whose belief has one component <= 1e-6, so a
+    post-pulse component is a quadratic with a tiny leading coefficient;
+    on the first pair the textbook root formula loses the small root to
+    cancellation."""
+    rng = np.random.default_rng(seed)
+    cases = [
+        (
+            Belief(2.359949972002835e-17, 0.9959023361429223, 0.004097663857077609),
+            Belief(0.9561125405499274, 0.010252450105613773, 0.03363500934445882),
+        )
+    ]
+    for _ in range(n):
+        eps = 10.0 ** -rng.uniform(6.0, 18.0)
+        w = list(rng.dirichlet(np.ones(2)) * (1.0 - eps))
+        w.insert(int(rng.integers(3)), eps)
+        belief = normalize(w)
+        assert min(belief.as_tuple()) <= 1e-6
+        cases.append((belief, normalize(rng.dirichlet(np.ones(3)))))
+    return cases
+
+
 class TestKolmogorovDistance:
     def test_identity(self):
         for b in random_beliefs(100):
@@ -123,8 +145,11 @@ class TestOptimalPulseProbability:
 
     def test_is_global_minimum_on_dense_grid(self):
         rng = np.random.default_rng(11)
-        for b in random_beliefs(50, seed=23):
-            target = normalize(rng.dirichlet(np.ones(3)))
+        cases = [
+            (b, normalize(rng.dirichlet(np.ones(3))))
+            for b in random_beliefs(50, seed=23)
+        ]
+        for b, target in cases + near_boundary_cases(30, seed=5):
             for d in (Pulse.REPUMP, Pulse.DEPUMP):
                 t_star, k_star = optimal_pulse_probability(b, target, d)
                 arr = np.asarray(b.as_tuple())

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.stats import binom, poisson
 
+from telegraphctl.config import feedback_defaults
 from telegraphctl.control import ControlPolicy, pulse_matrix
 from telegraphctl.errors import AllZeroError, GuardViolatedError, NotStochasticError
 from telegraphctl.experiments import run_closed_loop
@@ -227,6 +228,17 @@ class TestRunFilter:
         offline = run_filter(run.records, fc)
         assert offline == run.posteriors
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_replays_feedback_defaults_run(self, seed):
+        # the offline filter and the feedback controller share one belief
+        # step, so the default closed-loop configuration replays exactly
+        cfg = feedback_defaults()
+        run = run_closed_loop(
+            cfg.sim_config(seed), cfg.filter_config(), cfg.control_policy()
+        )
+        assert any(rec.pulse for rec in run.records)
+        assert run_filter(run.records, cfg.filter_config()) == run.posteriors
+
     def test_pulse_without_probability_rejected(self, default_model, feedback_rates):
         from telegraphctl.model import TraceRecord
 
@@ -255,3 +267,35 @@ def test_true_model_log_likelihood_dominates(default_model, paper_rates):
             records, FilterConfig(default_model, perturbed, 1e-3)
         )
         assert ll_true > ll_wrong
+
+
+def test_log_likelihood_matches_numpy_forward_pass(default_model, paper_rates):
+    # independent oracle: dense-matrix forward pass summing log normalizers,
+    # with pulse matrices built from binomial flip probabilities
+    t = 0.4
+    fc = FilterConfig(default_model, paper_rates, 1e-3, repump_t=t, depump_t=t)
+    sim = SimConfig(paper_rates, default_model, 1e-3, 300, 2, 4242)
+    run = run_closed_loop(sim, fc, ControlPolicy(fixed_t_repump=t, fixed_t_depump=t))
+    assert {Pulse.REPUMP, Pulse.DEPUMP} <= {rec.pulse for rec in run.records}
+
+    r21, r10, rr = paper_rates.r21, paper_rates.r10, paper_rates.r_repump
+    step = np.eye(3) + 1e-3 * np.array(
+        [[-2 * rr, r10, 0.0], [2 * rr, -r10 - rr, r21], [0.0, rr, -r21]]
+    )
+    pulses = {Pulse.REPUMP: np.zeros((3, 3)), Pulse.DEPUMP: np.zeros((3, 3))}
+    for alpha in range(3):
+        for k in range(3 - alpha):
+            pulses[Pulse.REPUMP][alpha + k, alpha] = binom.pmf(k, 2 - alpha, t)
+        for k in range(alpha + 1):
+            pulses[Pulse.DEPUMP][alpha - k, alpha] = binom.pmf(k, alpha, t)
+    means = np.array(default_model.mean_counts)
+    p = np.array([0.0, 0.0, 1.0])
+    expected = 0.0
+    for rec in run.records:
+        w = poisson.pmf(rec.photon_count, means) * (step @ p)
+        expected += np.log(w.sum())
+        p = w / w.sum()
+        if rec.pulse != Pulse.NONE:
+            p = pulses[rec.pulse] @ p
+
+    assert trace_log_likelihood(run.records, fc) == pytest.approx(expected, abs=1e-9)
