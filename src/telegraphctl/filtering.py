@@ -7,11 +7,13 @@ Continuous depumping is deliberately absent from G (in the belief model it
 acts through pulses only) while the simulator supports it, which keeps the
 mismatch testable. The linearization is valid while
 max(2*Rr, R10+Rr, R21) * dt < 0.5; outside that region callers must use
-the exact matrix-exponential mode.
+the exact matrix-exponential mode. Rates and dt are fixed for a run, so
+each (rates, dt, method) matrix is built once and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,14 +42,23 @@ def generator(rates: TransitionRates) -> np.ndarray:
     Column sums are exactly zero; continuous depumping is not part of the
     belief propagation model.
     """
-    r21, r10, rr = rates.r21, rates.r10, rates.r_repump
-    return np.array(
-        [
-            [-2.0 * rr, r10, 0.0],
-            [2.0 * rr, -r10 - rr, r21],
-            [0.0, rr, -r21],
-        ]
+    return _generators(rates.r21, rates.r10, rates.r_repump)
+
+
+def _generators(r21, r10, r_repump) -> np.ndarray:
+    """Generators for rates broadcast together, stacked as (..., 3, 3)."""
+    r21, r10, rr = np.broadcast_arrays(
+        *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
     )
+    g = np.zeros(r21.shape + (3, 3))
+    g[..., 0, 0] = -2.0 * rr
+    g[..., 0, 1] = r10
+    g[..., 1, 0] = 2.0 * rr
+    g[..., 1, 1] = -r10 - rr
+    g[..., 1, 2] = r21
+    g[..., 2, 1] = rr
+    g[..., 2, 2] = -r21
+    return g
 
 
 def guard_load(rates: TransitionRates, dt: float) -> float:
@@ -83,11 +94,38 @@ def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
 
 def exact_step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
     """exp(dt*G): exact propagation over one bin, valid for any dt >= 0."""
+    return exact_step_matrices(rates.r21, rates.r10, rates.r_repump, dt)
+
+
+def exact_step_matrices(r21, r10, r_repump, dt: float) -> np.ndarray:
+    """exp(dt*G) for rate arrays broadcast together, stacked as (..., 3, 3).
+
+    One batched expm call; scipy runs each slice through the same code as a
+    single matrix, so every slice equals exact_step_matrix's bit for bit.
+    """
     if dt < 0.0:
         raise ValueError("dt must be >= 0")
-    m = expm(dt * generator(rates))
+    m = expm(dt * _generators(r21, r10, r_repump))
     # expm may round theoretically-zero corners to tiny negatives
-    return np.maximum(m, 0.0)
+    return np.maximum(m, 0.0, out=m)
+
+
+@functools.lru_cache(maxsize=32)
+def _transition_matrix(
+    r21: float, r10: float, rr: float, dt: float, method: str
+) -> np.ndarray:
+    """One bin's belief transition matrix, built once per (rates, dt, method)
+    and shared read-only; a guard violation raises on every call, since
+    exceptions are not cached."""
+    rates = TransitionRates(r21, r10, rr)
+    if method == "linear":
+        m = step_matrix(rates, dt)
+    elif method == "exact":
+        m = exact_step_matrix(rates, dt)
+    else:
+        raise ValueError(f"unknown propagation method {method!r}")
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -152,12 +190,9 @@ def propagate_prior(
         raise ValueError("dt must be >= 0")
     if dt == 0.0:
         return posterior
-    if method == "linear":
-        m = step_matrix(rates, dt)
-    elif method == "exact":
-        m = exact_step_matrix(rates, dt)
-    else:
-        raise ValueError(f"unknown propagation method {method!r}")
+    m = _transition_matrix(
+        float(rates.r21), float(rates.r10), float(rates.r_repump), dt, method
+    )
     p = m @ np.asarray(posterior.as_tuple())
     return normalize(p)
 

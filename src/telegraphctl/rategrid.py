@@ -3,12 +3,17 @@ a discrete grid.
 
 The generalized distribution p(alpha, r21, r10, r_repump) lives on a dense
 array of shape (3, n21, n10, nr). Each bin update propagates every rate
-cell's state slice with that cell's linearized rate-equation step, multiplies
-by the count likelihood (which depends on alpha only; rate information
-enters purely through the propagation coupling), and renormalizes the whole
-grid. Likelihoods are computed in the log domain and the grid is
-renormalized every bin, so thousands of multiplicative updates cannot
-underflow.
+cell's state slice with that cell's one-bin step (linearized, or the exact
+matrix exponential), multiplies by the count likelihood (which depends on
+alpha only; rate information enters purely through the propagation
+coupling), and renormalizes the whole grid. Likelihoods are computed in the
+log domain and the grid is renormalized every bin, so thousands of
+multiplicative updates cannot underflow.
+
+Per bin the exact mode makes a few passes over the grid: one einsum over
+the flat (3, 3, cells) propagator, one per-state sum, one scale of each
+state slab by w_alpha / total. The stopping rule's marginals cost two gemvs
+over the grid; the moments come from cached per-axis rows (v, v*v).
 
 Rates are estimated in the open-loop weak-repumping regime (no continuous
 depumping), so the grid spans (r21, r10, r_repump) only.
@@ -16,6 +21,7 @@ depumping), so the grid spans (r21, r10, r_repump) only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -28,8 +34,8 @@ from .errors import (
     GuardViolatedError,
     ZeroMeanError,
 )
-from .filtering import GUARD_LIMIT, exact_step_matrix
-from .model import Belief, PhotonCountModel, TraceRecord, TransitionRates, normalize
+from .filtering import GUARD_LIMIT, exact_step_matrices
+from .model import Belief, PhotonCountModel, TraceRecord, normalize
 
 RATE_NAMES = ("r21", "r10", "r_repump")
 
@@ -183,21 +189,22 @@ class _LinearPropagator:
 
 
 class _ExactPropagator:
-    """Per-cell matrix-exponential step; valid for any dt."""
+    """Per-cell matrix-exponential step; valid for any dt. The matrices are
+    stored flat, p[i, j, cell], with cells in the grid's C order."""
 
     def __init__(self, spec: GridSpec, dt: float):
         v21, v10, vr = (spec.axis(n).values() for n in RATE_NAMES)
-        shape = spec.shape
-        self.p = np.empty((3, 3) + shape)
+        r10, rr = np.meshgrid(v10, vr, indexing="ij")
+        slab = r10.size
+        self.p = np.empty((3, 3, len(v21) * slab))
+        # one r21 slab at a time keeps the transient stack small
         for i, r21 in enumerate(v21):
-            for j, r10 in enumerate(v10):
-                for k, rr in enumerate(vr):
-                    rates = TransitionRates(r21, r10, rr)
-                    self.p[:, :, i, j, k] = exact_step_matrix(rates, dt)
+            m = exact_step_matrices(r21, r10, rr, dt).reshape(slab, 3, 3)
+            self.p[:, :, i * slab : (i + 1) * slab] = m.transpose(1, 2, 0)
 
     def apply(self, joint: np.ndarray, out: np.ndarray) -> None:
-        np.einsum("ijabc,jabc->iabc", self.p, joint, out=out)
-        np.maximum(out, 0.0, out=out)
+        # p >= 0 (exact_step_matrices clamps) and joint >= 0, so out >= 0
+        np.einsum("ijn,jn->in", self.p, joint.reshape(3, -1), out=out.reshape(3, -1))
 
 
 _PROPAGATOR_CACHE: dict[tuple, object] = {}
@@ -215,12 +222,20 @@ def _propagator(spec: GridSpec, dt: float, method: str):
     return prop
 
 
+@functools.lru_cache(maxsize=1024)
 def _bayes_weights(model: PhotonCountModel, n: int) -> np.ndarray:
+    """p(n | alpha) / max_alpha p(n | alpha), read-only and memoized: a run
+    sees few distinct counts."""
     logl = np.array([model.log_likelihood(n, a) for a in range(3)])
     m = logl.max()
     if m == -math.inf:
         raise AllZeroError(f"count {n} has zero likelihood in every state")
-    return np.exp(logl - m)
+    w = np.exp(logl - m)
+    w.flags.writeable = False
+    return w
+
+
+_TINY = np.finfo(float).tiny
 
 
 def _step(
@@ -229,11 +244,18 @@ def _step(
     """One generalized Bayes step into ``out``: per-cell prior propagation,
     reweighting by p(n | alpha), renormalization of the whole grid."""
     prop.apply(joint, out)
-    out *= _bayes_weights(model, n)[:, None, None, None]
-    total = out.sum()
+    w = _bayes_weights(model, n)
+    slabs = out.reshape(3, -1)
+    total = w @ slabs.sum(axis=1)
+    if total >= _TINY:
+        slabs *= (w / total)[:, None]
+        return
+    # a subnormal total would overflow w / total: weight first, then divide
+    slabs *= w[:, None]
+    total = slabs.sum()
     if total <= 0.0:
         raise AllZeroError("grid mass underflowed to zero")
-    out /= total
+    slabs /= total
 
 
 def update(
@@ -247,7 +269,7 @@ def update(
     reweighting by p(n | alpha), then renormalization of the whole grid."""
     if method not in ("linear", "exact"):
         raise ValueError("method must be 'linear' or 'exact'")
-    out = np.empty_like(grid.joint)
+    out = np.empty(grid.joint.shape)  # C order: _step works on flat views
     _step(_propagator(grid.spec, dt, method), grid.joint, out, model, n)
     return RateGrid(grid.spec, out)
 
@@ -257,24 +279,56 @@ def marginal_states(grid: RateGrid) -> Belief:
     return normalize(grid.joint.sum(axis=(1, 2, 3)))
 
 
-def _axis_marginal(grid: RateGrid, name: str) -> tuple[np.ndarray, np.ndarray]:
-    axis_index = RATE_NAMES.index(name) + 1  # axis 0 is alpha
-    sum_axes = tuple(i for i in range(4) if i != axis_index)
-    marg = grid.joint.sum(axis=sum_axes)
+@functools.lru_cache(maxsize=16)
+def _ones(n: int) -> np.ndarray:
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
+@functools.lru_cache(maxsize=16)
+def _moment_rows(axis: GridAxis) -> np.ndarray:
+    """Rows (v, v*v) of the axis values: ``rows @ p`` gives a normalized
+    marginal's mean and second moment."""
+    v = axis.values()
+    rows = np.array([v, v * v])
+    rows.flags.writeable = False
+    return rows
+
+
+def _rate_marginals(joint: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Unnormalized 1-D marginals of r21, r10 and r_repump from two gemvs
+    over the (alpha * r21, r10 * r_repump) view of the grid; every
+    intermediate has at most n10 * nr entries, so no grid-sized temporary
+    is allocated per call."""
+    _, n21, n10, nr = joint.shape
+    rows = joint.reshape(3 * n21, n10 * nr)
+    by_r21 = (rows @ _ones(n10 * nr)).reshape(3, n21)
+    rest = (_ones(3 * n21) @ rows).reshape(n10, nr)
+    return _ones(3) @ by_r21, rest @ _ones(nr), _ones(n10) @ rest
+
+
+def _normalized(marg: np.ndarray) -> np.ndarray:
     total = marg.sum()
     if total <= 0.0:
         raise AllZeroError("grid mass is zero")
-    return grid.spec.axis(name).values(), marg / total
+    return marg / total
+
+
+def _axis_marginals(grid: RateGrid) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Axis values and normalized 1-D marginal of every rate."""
+    return {
+        name: (grid.spec.axis(name).values(), _normalized(marg))
+        for name, marg in zip(RATE_NAMES, _rate_marginals(grid.joint))
+    }
 
 
 def marginal_rates(grid: RateGrid) -> RateMarginals:
     """Expectation and rms of each rate's 1-D marginal."""
     out = {}
-    for name in RATE_NAMES:
-        values, marg = _axis_marginal(grid, name)
-        mean = float(np.dot(values, marg))
-        var = float(np.dot(values * values, marg)) - mean * mean
-        out[name] = RatePosterior(mean, math.sqrt(max(var, 0.0)))
+    for name, marg in zip(RATE_NAMES, _rate_marginals(grid.joint)):
+        mean, second = (_moment_rows(grid.spec.axis(name)) @ _normalized(marg)).tolist()
+        out[name] = RatePosterior(mean, math.sqrt(max(second - mean * mean, 0.0)))
     return RateMarginals(**out)
 
 
@@ -367,9 +421,7 @@ def run_estimation(
             m = marginal_rates(grid)
             rms_history.append((rec.bin_index, m.r21.rms, m.r10.rms, m.r_repump.rms))
         if snapshot_every and n_seen % snapshot_every == 0:
-            snapshots.append(
-                (rec.bin_index, {n: _axis_marginal(grid, n) for n in RATE_NAMES})
-            )
+            snapshots.append((rec.bin_index, _axis_marginals(grid)))
     final_marginals = marginal_rates(grid)
     final_states = marginal_states(grid)
     return EstimationResult(

@@ -302,6 +302,7 @@ def test_criterion_5_time_to_target(recovery_regime):
 # criterion 6: rate inference
 
 
+@pytest.mark.slow
 def test_criterion_6_stopping_rule(estimation):
     stop_bins = estimation.stop_bins[:50]
     triggered = sum(b is not None for b in stop_bins)
@@ -330,6 +331,7 @@ def _coverage_counts(marginals) -> tuple[dict, int]:
     return per_rate, joint
 
 
+@pytest.mark.slow
 def test_criterion_6_coverage(estimation):
     # "within mean +/- 2 rms for each rate in >= 90% of seeds" read per rate:
     # a 2-sigma interval covers ~95-96% per rate, while the joint coverage of
@@ -358,6 +360,7 @@ def test_criterion_6_coverage(estimation):
     )
 
 
+@pytest.mark.slow
 def test_rate_posterior_contraction(estimation):
     # median rms over the first 20 seeds decreases from t = 1 s to t = 5 s
     med_1s = np.median(np.array(estimation.rms_at_1s[:20]), axis=0)
@@ -365,6 +368,7 @@ def test_rate_posterior_contraction(estimation):
     assert np.all(med_5s < med_1s), (med_1s, med_5s)
 
 
+@pytest.mark.slow
 def test_rate_calibration_100_runs(estimation):
     per_rate, joint = _coverage_counts(estimation.final_marginals)
     print(f"\n[calibration] per-rate 2-rms coverage over 100 runs: {per_rate}, joint {joint}")
@@ -376,6 +380,7 @@ def test_rate_calibration_100_runs(estimation):
 # criterion 7: bin-time robustness
 
 
+@pytest.mark.slow
 def test_criterion_7_bin_time_robustness():
     spec = GridSpec()
     bin_times_ms = (0.3, 1.0, 3.0, 10.0)

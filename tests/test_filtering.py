@@ -11,6 +11,7 @@ from telegraphctl.experiments import run_closed_loop
 from telegraphctl.filtering import (
     FilterConfig,
     apply_pulse_to_belief,
+    exact_step_matrices,
     exact_step_matrix,
     generator,
     guard_load,
@@ -63,6 +64,24 @@ def test_step_matrix_column_stochastic_exactly():
             assert math.fsum(m[:, col]) == 1.0
 
 
+@pytest.mark.parametrize("dt", [0.0, 1e-4, 1e-3, 0.5])
+def test_exact_step_matrices_match_single_calls(dt):
+    r21 = np.array([0.0, 35.0, 150.0, 2.0])
+    r10 = np.array([[50.0], [0.0], [120.0]])
+    rr = 59.0
+    batch = exact_step_matrices(r21, r10, rr, dt)
+    assert batch.shape == (3, 4, 3, 3)
+    for i, j in np.ndindex(3, 4):
+        single = exact_step_matrix(TransitionRates(r21[j], r10[i, 0], rr), dt)
+        assert batch[i, j].tobytes() == single.tobytes()
+    assert np.all(batch >= 0.0)
+
+
+def test_exact_step_matrices_reject_negative_dt():
+    with pytest.raises(ValueError):
+        exact_step_matrices(1.0, 1.0, 1.0, -1e-3)
+
+
 def test_step_matrix_guard():
     rates = TransitionRates(35.0, 50.0, 59.0)
     with pytest.raises(GuardViolatedError):
@@ -88,8 +107,34 @@ class TestPropagatePrior:
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_guard_violation_raises(self, paper_rates):
-        with pytest.raises(GuardViolatedError):
-            propagate_prior(Belief(0, 0, 1), paper_rates, 0.01)
+        for _ in range(3):  # on every call, not only the first
+            with pytest.raises(GuardViolatedError):
+                propagate_prior(Belief(0, 0, 1), paper_rates, 0.01)
+
+    @pytest.mark.parametrize("method", ["linear", "exact"])
+    def test_matches_fresh_matrix(self, method):
+        build = step_matrix if method == "linear" else exact_step_matrix
+        belief = Belief(0.2, 0.3, 0.5)
+        for rates in RATE_SETS:
+            for dt in (1e-4, 1e-3):
+                if method == "linear" and guard_load(rates, dt) >= 0.5:
+                    continue
+                expected = normalize(build(rates, dt) @ np.asarray(belief.as_tuple()))
+                for _ in range(2):  # the second call reads the cached matrix
+                    assert propagate_prior(belief, rates, dt, method) == expected
+
+    def test_cached_matrix_is_read_only(self, paper_rates):
+        from telegraphctl.filtering import _transition_matrix
+
+        m = _transition_matrix(35.0, 50.0, 59.0, 1e-3, "linear")
+        assert m is _transition_matrix(35.0, 50.0, 59.0, 1e-3, "linear")
+        assert np.array_equal(m, step_matrix(paper_rates, 1e-3))
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
+    def test_unknown_method_rejected(self, paper_rates):
+        with pytest.raises(ValueError):
+            propagate_prior(Belief(0, 0, 1), paper_rates, 1e-3, method="euler")
 
     def test_exact_mode_allows_large_dt(self, paper_rates):
         out = propagate_prior(Belief(0.0, 0.0, 1.0), paper_rates, 0.5, method="exact")

@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from telegraphctl.errors import CapExceededError, GuardViolatedError
-from telegraphctl.filtering import FilterConfig, run_filter
-from telegraphctl.model import Belief, TransitionRates
+from telegraphctl.errors import (
+    AllZeroError,
+    CapExceededError,
+    GuardViolatedError,
+    ZeroMeanError,
+)
+from telegraphctl.filtering import FilterConfig, exact_step_matrix, run_filter
+from telegraphctl.model import Belief, TransitionRates, log_likelihoods
 from telegraphctl.rategrid import (
+    RATE_NAMES,
     GridAxis,
     GridSpec,
+    RateGrid,
+    _bayes_weights,
+    _propagator,
     init_flat,
     marginal_rates,
     marginal_states,
@@ -19,6 +28,24 @@ from telegraphctl.rategrid import (
 from telegraphctl.simulate import SimConfig, run_trace
 
 DELTA2 = Belief(0.0, 0.0, 1.0)
+
+SMALL_SPEC = GridSpec(
+    r21=GridAxis(20.0, 50.0, 3),
+    r10=GridAxis(40.0, 60.0, 3),
+    r_repump=GridAxis(50.0, 70.0, 3),
+)
+# r21 and r_repump include a zero rate; r10 is a single point
+ZERO_RATE_SPEC = GridSpec(
+    r21=GridAxis(0.0, 150.0, 7),
+    r10=GridAxis(50.0, 50.0, 1),
+    r_repump=GridAxis(0.0, 90.0, 6),
+)
+
+
+def cell_rates(spec: GridSpec, cell: tuple[int, int, int]) -> TransitionRates:
+    return TransitionRates(
+        *(float(spec.axis(name).values()[k]) for name, k in zip(RATE_NAMES, cell))
+    )
 
 
 def single_cell_spec(rates: TransitionRates) -> GridSpec:
@@ -249,3 +276,166 @@ class TestRunEstimation:
         values, probs = snap["r21"]
         assert len(values) == 25
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestExactPropagator:
+    @pytest.mark.parametrize("spec", [ZERO_RATE_SPEC, SMALL_SPEC], ids=["7x1x6", "3x3x3"])
+    @pytest.mark.parametrize("dt", [0.0, 0.3e-3, 1e-3, 10e-3])
+    def test_matches_per_cell_exact_step_matrix(self, spec, dt):
+        # the batched build must give every cell exactly the bits of a
+        # single exact_step_matrix call
+        p = _propagator(spec, dt, "exact").p
+        assert p.shape == (3, 3, spec.n_cells // 3)
+        for flat, cell in enumerate(np.ndindex(spec.shape)):
+            expected = exact_step_matrix(cell_rates(spec, cell), dt)
+            assert p[:, :, flat].tobytes() == expected.tobytes(), (cell, dt)
+
+    def test_apply_matches_per_cell_product(self):
+        rng = np.random.default_rng(3)
+        joint = rng.random((3,) + ZERO_RATE_SPEC.shape)
+        out = np.empty_like(joint)
+        _propagator(ZERO_RATE_SPEC, 1e-3, "exact").apply(joint, out)
+        for cell in np.ndindex(ZERO_RATE_SPEC.shape):
+            m = exact_step_matrix(cell_rates(ZERO_RATE_SPEC, cell), 1e-3)
+            col = joint[(slice(None),) + cell]
+            expected = [math.fsum(m[i] * col) for i in range(3)]
+            assert np.allclose(out[(slice(None),) + cell], expected, rtol=1e-15, atol=0)
+
+
+def _reference_update(grid, n, model, dt):
+    """The plain order: per-cell exact propagation, weighting by p(n | alpha),
+    one sum and one divide."""
+    prior = np.empty_like(grid.joint)
+    for cell in np.ndindex(grid.spec.shape):
+        idx = (slice(None),) + cell
+        prior[idx] = exact_step_matrix(cell_rates(grid.spec, cell), dt) @ grid.joint[idx]
+    logl = np.array(log_likelihoods(model, n))
+    weighted = prior * np.exp(logl - logl.max())[:, None, None, None]
+    total = weighted.sum()
+    if total <= 0.0:
+        raise AllZeroError("reference grid mass is zero")
+    return weighted / total
+
+
+class TestHostileCounts:
+    # From a delta prior on alpha = 2 at dt = 0, the reweighted grid mass is
+    # p(n | 2) / p(n | 0): subnormal for n = 800-839 and zero from 840.
+    @pytest.mark.parametrize("dt", [0.0, 1e-3])
+    @pytest.mark.parametrize("n", [600, 820, 840, 5000])
+    def test_matches_plain_order(self, default_model, n, dt):
+        grid = init_flat(SMALL_SPEC, DELTA2)
+        try:
+            expected = _reference_update(grid, n, default_model, dt)
+        except AllZeroError:
+            with pytest.raises(AllZeroError):
+                update(grid, n, default_model, dt, method="exact")
+            return
+        out = update(grid, n, default_model, dt, method="exact")
+        assert np.all(np.isfinite(out.joint))
+        assert out.total() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(out.joint, expected, rtol=1e-12, atol=1e-300)
+
+    def test_memoized_weights_are_read_only(self, default_model):
+        w = _bayes_weights(default_model, 30)
+        assert w is _bayes_weights(default_model, 30)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_subnormal_total_still_normalizes(self, default_model):
+        grid = init_flat(SMALL_SPEC, DELTA2)
+        logl = log_likelihoods(default_model, 820)
+        assert 0.0 < math.exp(logl[2] - logl[0]) < np.finfo(float).tiny
+        out = update(grid, 820, default_model, 0.0, method="exact")
+        assert marginal_states(out) == DELTA2
+
+
+def _reference_marginals(grid: RateGrid) -> dict[str, tuple[float, float]]:
+    """Mean and rms per rate from plain per-axis sums of the joint."""
+    out = {}
+    for k, name in enumerate(RATE_NAMES):
+        marg = grid.joint.sum(axis=tuple(i for i in range(4) if i != k + 1))
+        p = marg / marg.sum()
+        values = grid.spec.axis(name).values()
+        mean = float(values @ p)
+        var = float((values * values) @ p) - mean * mean
+        out[name] = (mean, math.sqrt(max(var, 0.0)))
+    return out
+
+
+class TestFusedMarginals:
+    @pytest.mark.parametrize(
+        "spec",
+        [GridSpec(), SMALL_SPEC, ZERO_RATE_SPEC, GridSpec(
+            r21=GridAxis(10.0, 10.0, 1),
+            r10=GridAxis(0.0, 90.0, 4),
+            r_repump=GridAxis(5.0, 5.0, 1),
+        )],
+        ids=["25x25x25", "3x3x3", "7x1x6", "1x4x1"],
+    )
+    def test_match_per_axis_sums(self, spec):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            joint = rng.random((3,) + spec.shape) ** 4  # uneven mass
+            grid = RateGrid(spec, joint / joint.sum())
+            reference = _reference_marginals(grid)
+            for name, post in marginal_rates(grid).as_dict().items():
+                mean, rms = reference[name]
+                assert post.mean == pytest.approx(mean, rel=1e-12)
+                assert post.rms == pytest.approx(rms, rel=1e-12, abs=1e-300)
+
+    def test_single_point_axis_is_exact(self, paper_rates):
+        # the marginal is normalized before the moments, so a point mass
+        # reads back its rate exactly and rms 0 whatever its total mass
+        rng = np.random.default_rng(4)
+        spec = single_cell_spec(paper_rates)
+        for _ in range(50):
+            grid = RateGrid(spec, rng.random((3, 1, 1, 1)) * 1e-3)
+            for name, post in marginal_rates(grid).as_dict().items():
+                assert post.mean == getattr(paper_rates, name)
+                assert post.rms == 0.0
+
+    def test_zero_rate_point_mass_continues(self):
+        # a point mass at zero rate has mean 0 and rms 0: perfectly known
+        spec = GridSpec(
+            r21=GridAxis(0.0, 0.0, 1),
+            r10=GridAxis(50.0, 50.0, 1),
+            r_repump=GridAxis(0.0, 60.0, 4),
+        )
+        joint = np.zeros((3,) + spec.shape)
+        joint[1, 0, 0, 0] = 1.0
+        grid = RateGrid(spec, joint)
+        marg = marginal_rates(grid)
+        assert (marg.r21.mean, marg.r21.rms) == (0.0, 0.0)
+        assert (marg.r_repump.mean, marg.r_repump.rms) == (0.0, 0.0)
+        assert stopping_check(grid) is True
+
+    def test_zero_mean_with_spread_raises(self):
+        # signed mass on r21 = 0, 50, 100 with mean exactly 0 and rms > 0
+        spec = GridSpec(
+            r21=GridAxis(0.0, 100.0, 3),
+            r10=GridAxis(50.0, 50.0, 1),
+            r_repump=GridAxis(30.0, 30.0, 1),
+        )
+        joint = np.zeros((3,) + spec.shape)
+        joint[0, :, 0, 0] = [2.0, -2.0, 1.0]
+        grid = RateGrid(spec, joint)
+        assert marginal_rates(grid).r21.mean == 0.0
+        with pytest.raises(ZeroMeanError):
+            stopping_check(grid)
+
+    def test_zero_mass_raises(self):
+        grid = RateGrid(SMALL_SPEC, np.zeros((3,) + SMALL_SPEC.shape))
+        with pytest.raises(AllZeroError):
+            marginal_rates(grid)
+
+    def test_snapshot_marginals_match(self, default_model, paper_rates):
+        sim = SimConfig(paper_rates, default_model, 1e-3, 40, 2, 13)
+        records = run_trace(sim)
+        result = run_estimation(
+            records, SMALL_SPEC, default_model, 1e-3, snapshot_every=40, keep_grid=True
+        )
+        (_, snap), = result.snapshots
+        reference = _reference_marginals(result.final_grid)
+        for name, (values, probs) in snap.items():
+            assert np.array_equal(values, SMALL_SPEC.axis(name).values())
+            assert float(values @ probs) == pytest.approx(reference[name][0], rel=1e-12)
