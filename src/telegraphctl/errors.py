@@ -45,5 +45,9 @@ class ConfigError(TelegraphError):
     where a file is involved."""
 
 
+class TraceFormatError(TelegraphError, ValueError):
+    """A trace file is malformed; the message names the offending line."""
+
+
 class NotConvergedWarning(UserWarning):
     """Rate estimation exhausted the data before the stopping rule fired."""

@@ -66,12 +66,46 @@ def guard_load(rates: TransitionRates, dt: float) -> float:
     return max(2.0 * rates.r_repump, rates.r10 + rates.r_repump, rates.r21) * dt
 
 
-def check_guard(rates: TransitionRates, dt: float) -> None:
-    load = guard_load(rates, dt)
+def step_matrices(r21, r10, r_repump, dt: float, method: str) -> np.ndarray:
+    """One bin's transition matrices for rates broadcast together, stacked
+    as (..., 3, 3). Every belief propagation builds its matrices here, and
+    this is the one check of ``method``.
+
+    "linear" is I + dt*G with unpinned columns. Its guard is checked on the
+    load of the rate maxima: the load rises with every rate, so for one cell
+    or a full grid that is the largest cell load. "exact" is exp(dt*G) from
+    one batched expm call, which runs every slice through the same code as
+    a single matrix, so a slice equals the scalar call's bit for bit.
+    """
+    if dt < 0.0:
+        raise ValueError("dt must be >= 0")
+    r21, r10, rr = np.broadcast_arrays(
+        *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
+    )
+    if method == "exact":
+        m = expm(dt * _generators(r21, r10, rr))
+        # expm may round theoretically-zero corners to tiny negatives
+        return np.maximum(m, 0.0, out=m)
+    if method != "linear":
+        raise ValueError(f"unknown propagation method {method!r}")
+    load = guard_load(TransitionRates(r21.max(), r10.max(), rr.max()), dt)
     if not load < GUARD_LIMIT:
         raise GuardViolatedError(
             f"linearized propagation invalid: max rate * dt = {load:.3g} >= {GUARD_LIMIT}"
         )
+    a = 2.0 * rr * dt
+    b = r10 * dt
+    c = rr * dt
+    d = r21 * dt
+    m = np.zeros(r21.shape + (3, 3))
+    m[..., 0, 0] = 1.0 - a
+    m[..., 1, 0] = a
+    m[..., 0, 1] = b
+    m[..., 1, 1] = 1.0 - (b + c)
+    m[..., 2, 1] = c
+    m[..., 1, 2] = d
+    m[..., 2, 2] = 1.0 - d
+    return m
 
 
 def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
@@ -81,49 +115,29 @@ def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
     non-negative whenever the validity guard holds, which also makes each
     column's diagonal its largest entry (the one the pinning adjusts).
     """
-    check_guard(rates, dt)
-    a = 2.0 * rates.r_repump * dt
-    b = rates.r10 * dt
-    c = rates.r_repump * dt
-    d = rates.r21 * dt
-    cols = [[1.0 - a, a, 0.0], [b, 1.0 - (b + c), c], [0.0, d, 1.0 - d]]
+    m = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "linear")
     return np.array(
-        [[0.0 if x == 0.0 else x for x in pin_unit_sum(col)] for col in cols]
+        [[0.0 if x == 0.0 else x for x in pin_unit_sum(col.tolist())] for col in m.T]
     ).T
 
 
 def exact_step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
     """exp(dt*G): exact propagation over one bin, valid for any dt >= 0."""
-    return exact_step_matrices(rates.r21, rates.r10, rates.r_repump, dt)
-
-
-def exact_step_matrices(r21, r10, r_repump, dt: float) -> np.ndarray:
-    """exp(dt*G) for rate arrays broadcast together, stacked as (..., 3, 3).
-
-    One batched expm call; scipy runs each slice through the same code as a
-    single matrix, so every slice equals exact_step_matrix's bit for bit.
-    """
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
-    m = expm(dt * _generators(r21, r10, r_repump))
-    # expm may round theoretically-zero corners to tiny negatives
-    return np.maximum(m, 0.0, out=m)
+    return step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "exact")
 
 
 @functools.lru_cache(maxsize=32)
 def _transition_matrix(
     r21: float, r10: float, rr: float, dt: float, method: str
 ) -> np.ndarray:
-    """One bin's belief transition matrix, built once per (rates, dt, method)
-    and shared read-only; a guard violation raises on every call, since
-    exceptions are not cached."""
+    """One bin's belief transition matrix (step_matrix or exact_step_matrix),
+    built once per (rates, dt, method) and shared read-only; a guard
+    violation raises on every call, since exceptions are not cached."""
     rates = TransitionRates(r21, r10, rr)
     if method == "linear":
         m = step_matrix(rates, dt)
-    elif method == "exact":
-        m = exact_step_matrix(rates, dt)
     else:
-        raise ValueError(f"unknown propagation method {method!r}")
+        m = step_matrices(r21, r10, rr, dt, method)
     m.flags.writeable = False
     return m
 
@@ -141,10 +155,10 @@ class FilterConfig:
     depump_t: Optional[float] = None
 
     def __post_init__(self):
-        if self.propagation not in ("linear", "exact"):
-            raise ValueError("propagation must be 'linear' or 'exact'")
-        if self.propagation == "linear":
-            check_guard(self.rates, self.bin_time)
+        # the step matrix build rejects an unknown propagation method and,
+        # for "linear", a violated guard
+        r = self.rates
+        _transition_matrix(r.r21, r.r10, r.r_repump, self.bin_time, self.propagation)
 
 
 def _bayes_step(prior: Belief, logl: Sequence[float]) -> tuple[Belief, float]:

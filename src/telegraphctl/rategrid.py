@@ -10,9 +10,10 @@ coupling), and renormalizes the whole grid. Likelihoods are computed in the
 log domain and the grid is renormalized every bin, so thousands of
 multiplicative updates cannot underflow.
 
-Per bin the exact mode makes a few passes over the grid: one einsum over
-the flat (3, 3, cells) propagator, one per-state sum, one scale of each
-state slab by w_alpha / total. The stopping rule's marginals cost two gemvs
+Both methods share one propagator: every cell's matrix from
+filtering.step_matrices, stored flat as (3, 3, cells). Per bin that makes a
+few passes over the grid: one einsum over the propagator, one per-state
+sum, one scale of each state slab by w_alpha / total. The stopping rule's marginals cost two gemvs
 over the grid; the moments come from cached per-axis rows (v, v*v).
 
 Rates are estimated in the open-loop weak-repumping regime (no continuous
@@ -28,14 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllZeroError,
-    CapExceededError,
-    GuardViolatedError,
-    ZeroMeanError,
-)
-from .filtering import GUARD_LIMIT, exact_step_matrices
-from .model import Belief, PhotonCountModel, TraceRecord, normalize
+from .errors import AllZeroError, CapExceededError, ZeroMeanError
+from .filtering import GUARD_LIMIT, guard_load, step_matrices
+from .model import Belief, PhotonCountModel, TraceRecord, TransitionRates, normalize
 
 RATE_NAMES = ("r21", "r10", "r_repump")
 
@@ -56,6 +52,8 @@ class GridAxis:
     def __post_init__(self):
         if self.min < 0.0 or not math.isfinite(self.min):
             raise ValueError("axis min must be finite and >= 0")
+        if not math.isfinite(self.max):
+            raise ValueError("axis max must be finite")
         if self.n_points < 1:
             raise ValueError("axis needs at least one point")
         if self.n_points == 1:
@@ -103,16 +101,6 @@ class GridSpec:
             raise ValueError(f"unknown rate axis {name!r}")
         return getattr(self, name)
 
-    def max_guard_load(self, dt: float) -> float:
-        return (
-            max(
-                2.0 * self.r_repump.max,
-                self.r10.max + self.r_repump.max,
-                self.r21.max,
-            )
-            * dt
-        )
-
 
 @dataclass
 class RateGrid:
@@ -156,70 +144,29 @@ def init_flat(spec: GridSpec, initial_states: Belief) -> RateGrid:
     return RateGrid(spec, joint)
 
 
-class _LinearPropagator:
-    """Per-cell linearized step, vectorized over the whole grid."""
+class _Propagator:
+    """Every cell's one-bin step (linearized or exact), stored flat,
+    p[i, j, cell], with cells in the grid's C order."""
 
-    def __init__(self, spec: GridSpec, dt: float):
-        load = spec.max_guard_load(dt)
-        if not load < GUARD_LIMIT:
-            raise GuardViolatedError(
-                f"grid cell exceeds the linearization guard: max rate * dt = "
-                f"{load:.3g} >= {GUARD_LIMIT}; shrink dt or use the exact mode"
-            )
-        v21, v10, vr = (spec.axis(n).values() for n in RATE_NAMES)
-        r21, r10, rr = np.meshgrid(v21, v10, vr, indexing="ij")
-        a = dt * 2.0 * rr
-        b = dt * r10
-        c = dt * rr
-        d = dt * r21
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.k00 = 1.0 - a
-        self.k11 = 1.0 - (b + c)
-        self.k22 = 1.0 - d
-
-    def apply(self, joint: np.ndarray, out: np.ndarray) -> None:
-        j0, j1, j2 = joint[0], joint[1], joint[2]
-        np.multiply(self.k00, j0, out=out[0])
-        out[0] += self.b * j1
-        np.multiply(self.k11, j1, out=out[1])
-        out[1] += self.a * j0
-        out[1] += self.d * j2
-        np.multiply(self.k22, j2, out=out[2])
-        out[2] += self.c * j1
-
-
-class _ExactPropagator:
-    """Per-cell matrix-exponential step; valid for any dt. The matrices are
-    stored flat, p[i, j, cell], with cells in the grid's C order."""
-
-    def __init__(self, spec: GridSpec, dt: float):
+    def __init__(self, spec: GridSpec, dt: float, method: str):
         v21, v10, vr = (spec.axis(n).values() for n in RATE_NAMES)
         r10, rr = np.meshgrid(v10, vr, indexing="ij")
         slab = r10.size
         self.p = np.empty((3, 3, len(v21) * slab))
         # one r21 slab at a time keeps the transient stack small
         for i, r21 in enumerate(v21):
-            m = exact_step_matrices(r21, r10, rr, dt).reshape(slab, 3, 3)
+            m = step_matrices(r21, r10, rr, dt, method).reshape(slab, 3, 3)
             self.p[:, :, i * slab : (i + 1) * slab] = m.transpose(1, 2, 0)
 
     def apply(self, joint: np.ndarray, out: np.ndarray) -> None:
-        # p >= 0 (exact_step_matrices clamps) and joint >= 0, so out >= 0
+        # p >= 0 (guarded linear entries, clamped exact ones) and joint >= 0,
+        # so out >= 0
         np.einsum("ijn,jn->in", self.p, joint.reshape(3, -1), out=out.reshape(3, -1))
 
 
-_PROPAGATOR_CACHE: dict[tuple, object] = {}
-
-
-def _propagator(spec: GridSpec, dt: float, method: str):
-    key = (spec, dt, method)
-    prop = _PROPAGATOR_CACHE.get(key)
-    if prop is None:
-        if len(_PROPAGATOR_CACHE) > 16:
-            _PROPAGATOR_CACHE.clear()
-        cls = _LinearPropagator if method == "linear" else _ExactPropagator
-        prop = cls(spec, dt)
-        _PROPAGATOR_CACHE[key] = prop
-    return prop
+@functools.lru_cache(maxsize=16)
+def _propagator(spec: GridSpec, dt: float, method: str) -> _Propagator:
+    return _Propagator(spec, dt, method)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -267,8 +214,6 @@ def update(
 ) -> RateGrid:
     """One generalized Bayes step: per-cell prior propagation over dt, then
     reweighting by p(n | alpha), then renormalization of the whole grid."""
-    if method not in ("linear", "exact"):
-        raise ValueError("method must be 'linear' or 'exact'")
     out = np.empty(grid.joint.shape)  # C order: _step works on flat views
     _step(_propagator(grid.spec, dt, method), grid.joint, out, model, n)
     return RateGrid(grid.spec, out)
@@ -395,7 +340,8 @@ def run_estimation(
     if any(rec.pulse for rec in records):
         raise ValueError("rate estimation expects open-loop traces without pulses")
     if method is None:
-        method = "linear" if spec.max_guard_load(dt) < GUARD_LIMIT else "exact"
+        top = TransitionRates(spec.r21.max, spec.r10.max, spec.r_repump.max)
+        method = "linear" if guard_load(top, dt) < GUARD_LIMIT else "exact"
     prop = _propagator(spec, dt, method)
     joint = init_flat(spec, initial_states).joint
     buf = np.empty_like(joint)

@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .errors import TraceFormatError
 from .model import Pulse, TraceRecord
 
 TRACE_HEADER = "bin_index,photon_count,pulse,true_state"
@@ -34,30 +35,35 @@ def write_trace(path: Path, records: Iterable[TraceRecord]) -> None:
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"trace file must start with header {TRACE_HEADER!r}")
+    """Records of a trace file; blank lines are skipped. Any malformed line
+    raises TraceFormatError naming its line number."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != TRACE_HEADER:
+        lineno = lines[0][0] if lines else 1
+        raise TraceFormatError(
+            f"line {lineno}: trace file must start with header {TRACE_HEADER!r}"
+        )
     records = []
     prev_index = -1
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 comma-separated fields")
+    for lineno, ln in lines[1:]:
         try:
+            parts = ln.split(",")
+            if len(parts) != 4:
+                raise ValueError("expected 4 comma-separated fields")
             idx, count, pulse, true_state = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if idx <= prev_index:
-            raise ValueError(f"line {lineno}: bin_index must be strictly increasing")
-        prev_index = idx
-        records.append(
-            TraceRecord(
-                idx,
-                count,
-                Pulse(pulse),
-                true_state=None if true_state == -1 else true_state,
+            if idx <= prev_index:
+                raise ValueError("bin_index must be strictly increasing")
+            records.append(
+                TraceRecord(
+                    idx,
+                    count,
+                    Pulse(pulse),
+                    true_state=None if true_state == -1 else true_state,
+                )
             )
-        )
+        except ValueError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
+        prev_index = idx
     return records
 
 

@@ -71,6 +71,10 @@ class TestIntegrateRateEquations:
             integrate_rate_equations(DELTA2, paper_rates, 0.3, 0.01)
         integrate_rate_equations(DELTA2, paper_rates, 0.3, 0.01, method="exact")
 
+    def test_unknown_method_rejected(self, paper_rates):
+        with pytest.raises(ValueError, match="bogus"):
+            integrate_rate_equations(DELTA2, paper_rates, 0.3, 1e-3, method="bogus")
+
     def test_weak_repumping_300ms_mean(self, paper_rates):
         # frozen value, cross-checked against the eigen-decomposition of the
         # generator: stationary p1 = 0.321601, finite-trace mean = 0.309887

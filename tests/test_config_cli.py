@@ -10,7 +10,7 @@ from telegraphctl.config import (
     parse_config,
     serialize_config,
 )
-from telegraphctl.errors import ConfigError
+from telegraphctl.errors import ConfigError, TraceFormatError
 from telegraphctl.model import Pulse, TraceRecord
 from telegraphctl.traceio import format_trace, parse_trace, read_trace, write_trace
 
@@ -104,6 +104,24 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="line 3"):
             parse_trace(text)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1,5,0",  # field count
+            "1,x,0,1",  # not an integer
+            "1,5,7,1",  # pulse code
+            "1,-5,0,1",  # negative count
+            "1,5,0,3",  # hidden state
+            "0,5,0,1",  # bin index not increasing
+        ],
+    )
+    def test_malformed_line_named(self, line):
+        # the blank line 3 still counts: the error names the file's line 4
+        text = f"bin_index,photon_count,pulse,true_state\n0,1,0,2\n\n{line}\n"
+        with pytest.raises(TraceFormatError, match="line 4") as caught:
+            parse_trace(text)
+        assert isinstance(caught.value, ValueError)
+
     def test_golden_trace_regeneration(self, default_model, paper_rates):
         # committed golden file guards cross-version trace stability
         from telegraphctl.simulate import SimConfig, run_trace
@@ -147,6 +165,21 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key = 1\n")
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "estimate-rates"])
+    def test_malformed_trace_exit_2(self, out, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("bin_index,photon_count,pulse,true_state\n0,5,7,1\n")
+        assert main([command, str(bad), "--out", str(out)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_non_finite_grid_max_is_config_error(self, out, tmp_path):
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--traces", "1", "--bins", "20", "--out", str(sim_out)]) == 0
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("grid.r21.max_per_s = inf\n")
+        trace = str(sim_out / "trace_0000.csv")
+        assert main(["estimate-rates", trace, "--config", str(cfg), "--out", str(out)]) == 1
 
     def test_estimate_rates_single_cell_converges(self, out, tmp_path):
         sim_out = tmp_path / "sim"

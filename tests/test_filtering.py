@@ -11,7 +11,6 @@ from telegraphctl.experiments import run_closed_loop
 from telegraphctl.filtering import (
     FilterConfig,
     apply_pulse_to_belief,
-    exact_step_matrices,
     exact_step_matrix,
     generator,
     guard_load,
@@ -19,6 +18,7 @@ from telegraphctl.filtering import (
     posterior_update,
     propagate_prior,
     run_filter,
+    step_matrices,
     step_matrix,
     trace_log_likelihood,
 )
@@ -28,6 +28,7 @@ from telegraphctl.model import (
     Pulse,
     TransitionRates,
     normalize,
+    pin_unit_sum,
 )
 from telegraphctl.simulate import SimConfig, run_trace
 
@@ -69,7 +70,7 @@ def test_exact_step_matrices_match_single_calls(dt):
     r21 = np.array([0.0, 35.0, 150.0, 2.0])
     r10 = np.array([[50.0], [0.0], [120.0]])
     rr = 59.0
-    batch = exact_step_matrices(r21, r10, rr, dt)
+    batch = step_matrices(r21, r10, rr, dt, "exact")
     assert batch.shape == (3, 4, 3, 3)
     for i, j in np.ndindex(3, 4):
         single = exact_step_matrix(TransitionRates(r21[j], r10[i, 0], rr), dt)
@@ -79,7 +80,19 @@ def test_exact_step_matrices_match_single_calls(dt):
 
 def test_exact_step_matrices_reject_negative_dt():
     with pytest.raises(ValueError):
-        exact_step_matrices(1.0, 1.0, 1.0, -1e-3)
+        step_matrices(1.0, 1.0, 1.0, -1e-3, "exact")
+
+
+def test_step_matrix_is_pinned_linear_stack():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        rates = TransitionRates(*rng.uniform(0.0, 200.0, 3))
+        dt = 0.49 / max(guard_load(rates, 1.0), 1.0) * rng.uniform(0.0, 1.0)
+        stack = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "linear")
+        pinned = np.array(
+            [[0.0 if x == 0.0 else x for x in pin_unit_sum(col.tolist())] for col in stack.T]
+        ).T
+        assert step_matrix(rates, dt).tobytes() == pinned.tobytes()
 
 
 def test_step_matrix_guard():

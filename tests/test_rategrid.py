@@ -9,8 +9,15 @@ from telegraphctl.errors import (
     GuardViolatedError,
     ZeroMeanError,
 )
-from telegraphctl.filtering import FilterConfig, exact_step_matrix, run_filter
-from telegraphctl.model import Belief, TransitionRates, log_likelihoods
+from telegraphctl.filtering import (
+    GUARD_LIMIT,
+    FilterConfig,
+    exact_step_matrix,
+    guard_load,
+    run_filter,
+    step_matrices,
+)
+from telegraphctl.model import Belief, TraceRecord, TransitionRates, log_likelihoods
 from telegraphctl.rategrid import (
     RATE_NAMES,
     GridAxis,
@@ -67,6 +74,10 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridAxis(10.0, 20.0, 1)  # single point needs min == max
         GridAxis(10.0, 10.0, 1)
+
+    def test_axis_rejects_non_finite_max(self):
+        with pytest.raises(ValueError, match="finite"):
+            GridAxis(2.0, math.inf, 5)
 
     def test_default_grid_shape(self):
         spec = GridSpec()
@@ -185,7 +196,13 @@ class TestUpdate:
         grid = init_flat(spec, DELTA2)
         a = update(grid, 20, default_model, 1e-4, method="linear")
         b = update(grid, 20, default_model, 1e-4, method="exact")
-        assert np.abs(a.joint - b.joint).max() < spec.max_guard_load(1e-4) ** 2
+        top = TransitionRates(spec.r21.max, spec.r10.max, spec.r_repump.max)
+        assert np.abs(a.joint - b.joint).max() < guard_load(top, 1e-4) ** 2
+
+    def test_unknown_method_rejected(self, default_model):
+        grid = init_flat(SMALL_SPEC, DELTA2)
+        with pytest.raises(ValueError, match="bogus"):
+            update(grid, 20, default_model, 1e-3, method="bogus")
 
     def test_exact_mode_allows_coarse_bins(self, default_model):
         spec = GridSpec(
@@ -237,6 +254,11 @@ class TestRunEstimation:
             grid = update(grid, rec.photon_count, default_model, 1e-3)
         assert np.array_equal(result.final_grid.joint, grid.joint)
 
+    def test_unknown_method_rejected(self, default_model):
+        records = [TraceRecord(0, 30)]
+        with pytest.raises(ValueError, match="bogus"):
+            run_estimation(records, SMALL_SPEC, default_model, 1e-3, method="bogus")
+
     def test_single_cell_converges_instantly(self, default_model, paper_rates):
         sim = SimConfig(paper_rates, default_model, 1e-3, 50, 2, 10)
         records = run_trace(sim)
@@ -258,7 +280,7 @@ class TestRunEstimation:
         assert result.n_bins == 1
 
     def test_rejects_pulsed_traces(self, default_model, paper_rates):
-        from telegraphctl.model import Pulse, TraceRecord
+        from telegraphctl.model import Pulse
 
         records = [TraceRecord(0, 30, Pulse.REPUMP)]
         with pytest.raises(ValueError):
@@ -279,15 +301,30 @@ class TestRunEstimation:
 
 
 class TestExactPropagator:
-    @pytest.mark.parametrize("spec", [ZERO_RATE_SPEC, SMALL_SPEC], ids=["7x1x6", "3x3x3"])
+    @pytest.mark.parametrize(
+        "spec, method",
+        [
+            (ZERO_RATE_SPEC, "exact"),
+            (SMALL_SPEC, "exact"),
+            (ZERO_RATE_SPEC, "linear"),
+            (SMALL_SPEC, "linear"),
+        ],
+        ids=["7x1x6", "3x3x3", "7x1x6-linear", "3x3x3-linear"],
+    )
     @pytest.mark.parametrize("dt", [0.0, 0.3e-3, 1e-3, 10e-3])
-    def test_matches_per_cell_exact_step_matrix(self, spec, dt):
-        # the batched build must give every cell exactly the bits of a
-        # single exact_step_matrix call
-        p = _propagator(spec, dt, "exact").p
+    def test_matches_per_cell_exact_step_matrix(self, spec, dt, method):
+        # the slab-by-slab build must give every cell exactly the bits of a
+        # single scalar step_matrices call (unpinned in the linear mode)
+        top = TransitionRates(spec.r21.max, spec.r10.max, spec.r_repump.max)
+        if method == "linear" and guard_load(top, dt) >= GUARD_LIMIT:
+            with pytest.raises(GuardViolatedError):
+                _propagator(spec, dt, method)
+            return
+        p = _propagator(spec, dt, method).p
         assert p.shape == (3, 3, spec.n_cells // 3)
         for flat, cell in enumerate(np.ndindex(spec.shape)):
-            expected = exact_step_matrix(cell_rates(spec, cell), dt)
+            r = cell_rates(spec, cell)
+            expected = step_matrices(r.r21, r.r10, r.r_repump, dt, method)
             assert p[:, :, flat].tobytes() == expected.tobytes(), (cell, dt)
 
     def test_apply_matches_per_cell_product(self):
