@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyEnsembleError, NeverReachedError, NoEpisodesError
-from .filtering import _transition_matrix
+from .filtering import transition_matrix
 from .model import Belief, TransitionRates, normalize
 
 TARGET_STATE = 1
@@ -47,7 +47,7 @@ def integrate_rate_equations(
     n = int(round(duration / dt))
     if n < 1:
         raise ValueError("duration shorter than one step")
-    m = _transition_matrix(rates.r21, rates.r10, rates.r_repump, dt, method)
+    m = transition_matrix(rates.r21, rates.r10, rates.r_repump, dt, method)
     out = np.empty((n, 3))
     p = np.asarray(p0.as_tuple())
     for i in range(n):

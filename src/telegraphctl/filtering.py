@@ -127,15 +127,14 @@ def exact_step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _transition_matrix(
+def transition_matrix(
     r21: float, r10: float, rr: float, dt: float, method: str
 ) -> np.ndarray:
-    """One bin's belief transition matrix (step_matrix or exact_step_matrix),
-    built once per (rates, dt, method) and shared read-only; a guard
-    violation raises on every call, since exceptions are not cached."""
-    rates = TransitionRates(r21, r10, rr)
+    """One bin's belief transition matrix (step_matrix for "linear", else
+    step_matrices), built once per (rates, dt, method) and shared read-only;
+    a guard violation raises on every call, since exceptions are not cached."""
     if method == "linear":
-        m = step_matrix(rates, dt)
+        m = step_matrix(TransitionRates(r21, r10, rr), dt)
     else:
         m = step_matrices(r21, r10, rr, dt, method)
     m.flags.writeable = False
@@ -158,7 +157,7 @@ class FilterConfig:
         # the step matrix build rejects an unknown propagation method and,
         # for "linear", a violated guard
         r = self.rates
-        _transition_matrix(r.r21, r.r10, r.r_repump, self.bin_time, self.propagation)
+        transition_matrix(r.r21, r.r10, r.r_repump, self.bin_time, self.propagation)
 
 
 def _bayes_step(prior: Belief, logl: Sequence[float]) -> tuple[Belief, float]:
@@ -204,7 +203,7 @@ def propagate_prior(
         raise ValueError("dt must be >= 0")
     if dt == 0.0:
         return posterior
-    m = _transition_matrix(
+    m = transition_matrix(
         float(rates.r21), float(rates.r10), float(rates.r_repump), dt, method
     )
     p = m @ np.asarray(posterior.as_tuple())

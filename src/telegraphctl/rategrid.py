@@ -13,8 +13,9 @@ multiplicative updates cannot underflow.
 Both methods share one propagator: every cell's matrix from
 filtering.step_matrices, stored flat as (3, 3, cells). Per bin that makes a
 few passes over the grid: one einsum over the propagator, one per-state
-sum, one scale of each state slab by w_alpha / total. The stopping rule's marginals cost two gemvs
-over the grid; the moments come from cached per-axis rows (v, v*v).
+sum, one scale of each state slab by w_alpha / total. The stopping rule's
+marginals cost two gemvs over the grid; the moments come from cached
+per-axis rows (v, v*v).
 
 Rates are estimated in the open-loop weak-repumping regime (no continuous
 depumping), so the grid spans (r21, r10, r_repump) only.

@@ -21,6 +21,7 @@ from telegraphctl.filtering import (
     step_matrices,
     step_matrix,
     trace_log_likelihood,
+    transition_matrix,
 )
 from telegraphctl.model import (
     Belief,
@@ -28,7 +29,6 @@ from telegraphctl.model import (
     Pulse,
     TransitionRates,
     normalize,
-    pin_unit_sum,
 )
 from telegraphctl.simulate import SimConfig, run_trace
 
@@ -83,16 +83,46 @@ def test_exact_step_matrices_reject_negative_dt():
         step_matrices(1.0, 1.0, 1.0, -1e-3, "exact")
 
 
-def test_step_matrix_is_pinned_linear_stack():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        rates = TransitionRates(*rng.uniform(0.0, 200.0, 3))
-        dt = 0.49 / max(guard_load(rates, 1.0), 1.0) * rng.uniform(0.0, 1.0)
-        stack = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "linear")
-        pinned = np.array(
-            [[0.0 if x == 0.0 else x for x in pin_unit_sum(col.tolist())] for col in stack.T]
-        ).T
-        assert step_matrix(rates, dt).tobytes() == pinned.tobytes()
+# step_matrix bits recorded before the linear entries moved into
+# step_matrices. Cases two and three have a zero rate (r21, r_repump); in
+# the last two, pinning moves a diagonal entry off I + dt*G.
+STEP_MATRIX_BITS = [
+    ((35.0, 50.0, 59.0), 0.001, (
+        ("0x1.c395810624dd3p-1", "0x1.999999999999ap-5", "0x0.0p+0"),
+        ("0x1.e353f7ced9169p-4", "0x1.c83126e978d50p-1", "0x1.1eb851eb851ecp-5"),
+        ("0x0.0p+0", "0x1.e353f7ced9169p-5", "0x1.ee147ae147ae1p-1"),
+    )),
+    ((0.0, 50.0, 59.0), 0.001, (
+        ("0x1.c395810624dd3p-1", "0x1.999999999999ap-5", "0x0.0p+0"),
+        ("0x1.e353f7ced9169p-4", "0x1.c83126e978d50p-1", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.e353f7ced9169p-5", "0x1.0000000000000p+0"),
+    )),
+    ((120.0, 3.5, 0.0), 0.0003, (
+        ("0x1.0000000000000p+0", "0x1.13404ea4a8c15p-10", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.ff765fd8adabap-1", "0x1.26e978d4fdf3bp-5"),
+        ("0x0.0p+0", "0x0.0p+0", "0x1.ed916872b020cp-1"),
+    )),
+    ((17.13, 47.362, 160.255), 0.0012061, (
+        ("0x1.3a13e0291772ep-1", "0x1.d3f44291ddd41p-5", "0x0.0p+0"),
+        ("0x1.8bd83fadd11a5p-2", "0x1.7fcaabeb6ddc3p-1", "0x1.52806370456b0p-6"),
+        ("0x0.0p+0", "0x1.8bd83fadd11a5p-3", "0x1.f56bfce47dd4ap-1"),
+    )),
+    ((132.1, 186.293, 41.438), 0.0012972, (
+        ("0x1.c8f4e0295a734p-1", "0x1.eeeb0f75415f5p-3", "0x0.0p+0"),
+        ("0x1.b858feb52c663p-4", "0x1.68bfac375ce1dp-1", "0x1.5ef20df9e8b9cp-3"),
+        ("0x0.0p+0", "0x1.b858feb52c663p-5", "0x1.a8437c8185d19p-1"),
+    )),
+]
+
+
+@pytest.mark.parametrize("rates, dt, bits", STEP_MATRIX_BITS)
+def test_step_matrix_frozen_bits(rates, dt, bits):
+    rates = TransitionRates(*rates)
+    m = step_matrix(rates, dt)
+    assert [[x.hex() for x in row] for row in m.tolist()] == [list(row) for row in bits]
+    # the pinned matrix is the linear stack up to an ulp on the diagonal
+    stack = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "linear")
+    assert np.abs(m - stack).max() <= np.finfo(float).eps
 
 
 def test_step_matrix_guard():
@@ -137,10 +167,8 @@ class TestPropagatePrior:
                     assert propagate_prior(belief, rates, dt, method) == expected
 
     def test_cached_matrix_is_read_only(self, paper_rates):
-        from telegraphctl.filtering import _transition_matrix
-
-        m = _transition_matrix(35.0, 50.0, 59.0, 1e-3, "linear")
-        assert m is _transition_matrix(35.0, 50.0, 59.0, 1e-3, "linear")
+        m = transition_matrix(35.0, 50.0, 59.0, 1e-3, "linear")
+        assert m is transition_matrix(35.0, 50.0, 59.0, 1e-3, "linear")
         assert np.array_equal(m, step_matrix(paper_rates, 1e-3))
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
