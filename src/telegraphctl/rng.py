@@ -7,6 +7,9 @@ built on one small, fully documented generator instead of a platform RNG:
 * Core stream: SplitMix64. State advances by the 64-bit golden-gamma
   constant 0x9E3779B97F4A7C15; each output is the standard two-round
   xor-multiply finalizer of the new state. All arithmetic is mod 2**64.
+  Output k of a stream is ``finalize(seed + k * gamma)``, so outputs are
+  generated in blocks, with the same bits and the same draw order as one
+  at a time.
 * Uniform doubles take the top 53 bits of one output: ``(x >> 11) * 2**-53``,
   giving values in [0, 1).
 * Exponential: inverse CDF, ``-log1p(-u) / rate``.
@@ -31,9 +34,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _POISSON_CHUNK = 30.0
+_BLOCK = 512
+# k * gamma mod 2**64 for k = 1.._BLOCK (uint64 array arithmetic wraps).
+_BLOCK_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 def _finalize(z: int) -> int:
@@ -56,16 +64,43 @@ class PortableRandom:
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
+        # State after the last output of the current block; the block is
+        # empty until the first draw.
         self._state = seed & _MASK64
         self._spare_normal: float | None = None
+        self._outputs = np.empty(0, dtype=np.uint64)
+        self._uniforms: list[float] = []
+        self._pos = _BLOCK
+
+    def _refill(self) -> None:
+        """Generate the next _BLOCK outputs and their uniforms."""
+        z = _BLOCK_STEPS + np.uint64(self._state)
+        self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self._outputs = z
+        self._uniforms = ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+        self._pos = 0
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _finalize(self._state)
+        i = self._pos
+        if i == _BLOCK:
+            self._refill()
+            i = 0
+        self._pos = i + 1
+        return int(self._outputs[i])
 
     def uniform(self) -> float:
-        """One double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
+        """One double in [0, 1) with 53 random bits: (x >> 11) * 2**-53."""
+        i = self._pos
+        if i == _BLOCK:
+            self._refill()
+            i = 0
+        self._pos = i + 1
+        return self._uniforms[i]
 
     def bernoulli(self, p: float) -> bool:
         return self.uniform() < p
@@ -77,13 +112,25 @@ class PortableRandom:
 
     def _poisson_small(self, mean: float) -> int:
         # Knuth: multiply uniforms until the product drops below exp(-mean).
+        # Reads the block directly (this is the simulator's hot loop);
+        # 1.0 * u == u, so starting from 1.0 leaves every product unchanged.
+        # The count is the uniforms read minus one; `start` moves back by a
+        # block at each refill so that i - start stays the number read.
         limit = math.exp(-mean)
-        k = 0
-        prod = self.uniform()
-        while prod > limit:
-            k += 1
-            prod *= self.uniform()
-        return k
+        prod = 1.0
+        us = self._uniforms
+        i = start = self._pos
+        while True:
+            if i == _BLOCK:
+                self._refill()
+                us = self._uniforms
+                start -= _BLOCK
+                i = 0
+            prod *= us[i]
+            i += 1
+            if prod <= limit:
+                self._pos = i
+                return i - start - 1
 
     def poisson(self, mean: float) -> int:
         if mean < 0.0:

@@ -68,7 +68,14 @@ def parse_trace(text: str) -> list[TraceRecord]:
 
 
 def read_trace(path: Path) -> list[TraceRecord]:
-    return parse_trace(Path(path).read_text(encoding="utf-8"))
+    """Records of the trace file at ``path``. A malformed or non-UTF-8 file
+    raises TraceFormatError whose message starts with the path."""
+    try:
+        return parse_trace(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
 
 
 def config_digest(config_text: str) -> str:

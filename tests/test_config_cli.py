@@ -173,6 +173,21 @@ class TestCli:
         assert main([command, str(bad), "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_trace_exit_2(self, out, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"bin_index,photon_count,pulse,true_state\n0,5,\xff,1\n")
+        assert main(["analyze", str(bad), "--out", str(out)]) == 2
+        assert f"{bad}: not UTF-8 at byte 44" in capsys.readouterr().err
+
+    def test_malformed_second_trace_named(self, out, tmp_path, capsys):
+        good, bad = tmp_path / "a.csv", tmp_path / "b.csv"
+        good.write_text("bin_index,photon_count,pulse,true_state\n0,5,0,1\n")
+        bad.write_text("bin_index,photon_count,pulse,true_state\n0,5,7,1\n")
+        assert main(["analyze", str(good), str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 2: " in err
+        assert str(good) not in err
+
     def test_non_finite_grid_max_is_config_error(self, out, tmp_path):
         sim_out = tmp_path / "sim"
         assert main(["simulate", "--traces", "1", "--bins", "20", "--out", str(sim_out)]) == 0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
-from telegraphctl.rng import PortableRandom, derive_seed
+from oracles import ScalarSplitMix64, splitmix64_finalize
+from telegraphctl.rng import _BLOCK, PortableRandom, derive_seed
 
 
 def test_same_seed_same_stream():
@@ -25,18 +26,63 @@ def test_derive_seed_is_documented_mixing():
     # finalize(seed XOR ((i+1) * golden-gamma)) per the module contract
     mask = (1 << 64) - 1
     gamma = 0x9E3779B97F4A7C15
-
-    def finalize(z):
-        z &= mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return z ^ (z >> 31)
-
     for seed in (0, 42, 2**63 + 17):
         for i in (0, 1, 55):
-            assert derive_seed(seed, i) == finalize(seed ^ ((i + 1) * gamma & mask))
+            assert derive_seed(seed, i) == splitmix64_finalize(seed ^ ((i + 1) * gamma & mask))
     with pytest.raises(ValueError):
         derive_seed(1, -1)
+
+
+STREAM_DRAWS = [
+    ("next_u64", lambda r: r.next_u64()),
+    ("uniform", lambda r: r.uniform()),
+    ("bernoulli", lambda r: r.bernoulli(0.3)),
+    ("exponential", lambda r: r.exponential(50.0)),
+    ("poisson 0.5", lambda r: r.poisson(0.5)),
+    ("poisson 16", lambda r: r.poisson(16.0)),
+    ("poisson 45.3", lambda r: r.poisson(45.3)),  # two Knuth chunks
+    ("normal", lambda r: r.normal()),
+    ("gamma 0.7", lambda r: r.gamma(0.7)),
+    ("neg_binomial", lambda r: r.neg_binomial(28.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])  # the last wraps the state
+def test_block_stream_matches_scalar_reference(seed):
+    fast, ref = PortableRandom(seed), ScalarSplitMix64(seed)
+    for round_ in range(30):
+        for name, draw in STREAM_DRAWS:
+            assert draw(fast) == draw(ref), (round_, name)
+    assert ref.drawn > 3 * _BLOCK  # several refills were crossed
+    assert fast.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("left", [0, 1, 5])
+def test_knuth_loop_straddles_refill(left):
+    fast, ref = PortableRandom(42), ScalarSplitMix64(42)
+    for _ in range(_BLOCK - left):
+        assert fast.uniform() == ref.uniform()
+    assert fast.poisson(28.0) == ref.poisson(28.0)
+    assert ref.drawn > _BLOCK  # the loop ran on into the next block
+    assert fast.next_u64() == ref.next_u64()
+
+
+def test_recorded_seed42_outputs():
+    # recorded with the one-draw-at-a-time generator; the first output is
+    # the published SplitMix64 value for seed 42
+    rng = PortableRandom(42)
+    assert rng.next_u64() == 0xBDD732262FEB6E95
+    assert rng.uniform() == float.fromhex("0x1.477f199d93378p-3")
+    for _ in range(600):
+        rng.uniform()
+    assert rng.uniform() == float.fromhex("0x1.a7aad318a0080p-3")
+    assert rng.exponential(50.0) == float.fromhex("0x1.d4a7eca77bc53p-5")
+    assert rng.normal() == float.fromhex("-0x1.8100d5a6f04dap-1")
+    assert rng.normal() == float.fromhex("0x1.82d958f4525b7p+0")
+    assert rng.gamma(0.7) == float.fromhex("0x1.dfbccc0b9b9a1p-4")
+    assert rng.poisson(45.3) == 35
+    assert rng.neg_binomial(28.0, 2.0) == 18
+    assert rng.next_u64() == 0xCED35AAE88A21C53
 
 
 def test_spawn_streams_differ_and_are_stable():
