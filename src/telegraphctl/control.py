@@ -73,7 +73,7 @@ class ControlDecision:
 
 def kolmogorov_distance(p: Belief, q: Belief) -> float:
     """Total-variation distance 0.5 * sum |p - q|, in [0, 1]."""
-    return 0.5 * math.fsum(abs(a - b) for a, b in zip(p.as_tuple(), q.as_tuple()))
+    return 0.5 * math.fsum((abs(p.p0 - q.p0), abs(p.p1 - q.p1), abs(p.p2 - q.p2)))
 
 
 def _pulse_quadratics(belief: Belief, direction: Pulse) -> list[tuple[float, float, float]]:

@@ -7,8 +7,11 @@ Continuous depumping is deliberately absent from G (in the belief model it
 acts through pulses only) while the simulator supports it, which keeps the
 mismatch testable. The linearization is valid while
 max(2*Rr, R10+Rr, R21) * dt < 0.5; outside that region callers must use
-the exact matrix-exponential mode. Rates and dt are fixed for a run, so
-each (rates, dt, method) matrix is built once and shared read-only.
+the exact matrix-exponential mode. Rates, dt and the pulse transition
+probabilities are fixed for a run, so each (rates, dt, method) transition
+matrix and each (T, direction) pulse matrix is built once and shared
+read-only; the per-count log-likelihoods come from the memoized table in
+model.log_likelihoods.
 """
 
 from __future__ import annotations
@@ -163,16 +166,19 @@ class FilterConfig:
 def _bayes_step(prior: Belief, logl: Sequence[float]) -> tuple[Belief, float]:
     """Log-domain Bayes update: the posterior and the log-evidence
     log sum_a p(n | a) prior_a of the observation."""
-    scores = []
-    for lp, pa in zip(logl, prior.as_tuple()):
-        if pa <= 0.0 or lp == -math.inf:
-            scores.append(-math.inf)
-        else:
-            scores.append(lp + math.log(pa))
-    m = max(scores)
+    l0, l1, l2 = logl
+    p0, p1, p2 = prior.as_tuple()
+    s0 = -math.inf if p0 <= 0.0 or l0 == -math.inf else l0 + math.log(p0)
+    s1 = -math.inf if p1 <= 0.0 or l1 == -math.inf else l1 + math.log(p1)
+    s2 = -math.inf if p2 <= 0.0 or l2 == -math.inf else l2 + math.log(p2)
+    m = max(s0, s1, s2)
     if m == -math.inf:
         raise AllZeroError("observation has zero likelihood under every supported state")
-    weights = tuple(0.0 if s == -math.inf else math.exp(s - m) for s in scores)
+    weights = (
+        0.0 if s0 == -math.inf else math.exp(s0 - m),
+        0.0 if s1 == -math.inf else math.exp(s1 - m),
+        0.0 if s2 == -math.inf else math.exp(s2 - m),
+    )
     return normalize(weights), m + math.log(math.fsum(weights))
 
 
@@ -210,6 +216,7 @@ def propagate_prior(
     return normalize(p)
 
 
+@functools.lru_cache(maxsize=32)
 def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
     """Column-stochastic action of one pulse on a belief vector.
 
@@ -217,6 +224,8 @@ def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
     2-alpha addressable lower-level atoms over the reachable states, and the
     top state is absorbing; depumping is the index-reversed mirror. Column
     sums are exactly 1.0 in floating point and entries are non-negative.
+    Built once per (T, direction) and shared read-only; invalid arguments
+    raise on every call, since exceptions are not cached.
     """
     t = transition_probability
     if not 0.0 <= t <= 1.0:
@@ -225,10 +234,13 @@ def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
     col_both = pin_unit_sum([u * u, 2.0 * t * u, t * t])  # two addressable atoms
     col_one = pin_unit_sum([0.0, u, t])  # one addressable atom
     if direction == Pulse.REPUMP:
-        return np.array([col_both, col_one, [0.0, 0.0, 1.0]]).T
-    if direction == Pulse.DEPUMP:
-        return np.array([[1.0, 0.0, 0.0], col_one[::-1], col_both[::-1]]).T
-    raise ValueError("direction must be REPUMP or DEPUMP")
+        m = np.array([col_both, col_one, [0.0, 0.0, 1.0]]).T
+    elif direction == Pulse.DEPUMP:
+        m = np.array([[1.0, 0.0, 0.0], col_one[::-1], col_both[::-1]]).T
+    else:
+        raise ValueError("direction must be REPUMP or DEPUMP")
+    m.flags.writeable = False
+    return m
 
 
 def apply_pulse_to_belief(belief: Belief, matrix: np.ndarray) -> Belief:

@@ -6,11 +6,15 @@ so per-state mean counts must be strictly decreasing in alpha. Counts per
 bin are Poisson by default; an over-dispersed negative-binomial family
 (variance = fano * mean) models super-Poissonian broadening.
 
-All types are immutable value types and all operations are pure.
+All types are immutable value types and all operations are pure. The
+model is fixed for a run and a run sees few distinct counts, so the
+per-count log-likelihood triple (log_likelihoods) is memoized: the filter,
+the feedback controller and the rate grid read one shared table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -88,16 +92,20 @@ def normalize(weights: Iterable[float]) -> Belief:
     Raises AllZeroError when the weights sum to zero (numerical collapse);
     the caller must then recompute in the log domain.
     """
+    if hasattr(weights, "tolist"):
+        # an array's Python floats are cheaper to check and add than its
+        # numpy scalars
+        weights = weights.tolist()
     w = [float(x) for x in weights]
     if len(w) != 3:
         raise ValueError("expected exactly three weights")
     for x in w:
-        if not math.isfinite(x) or x < 0.0:
+        if not 0.0 <= x < math.inf:  # also false for NaN
             raise ValueError(f"weights must be finite and >= 0, got {x!r}")
     if w[0] + w[1] + w[2] == 0.0:
         raise AllZeroError("weights sum to zero")
     p = _pinned_triple(*w)
-    if any(0.0 < x < _CLAMP for x in p):
+    if 0.0 < p[0] < _CLAMP or 0.0 < p[1] < _CLAMP or 0.0 < p[2] < _CLAMP:
         # Floor denormal-scale components, then renormalize once more.
         p = _pinned_triple(*(0.0 if x < _CLAMP else x for x in p))
     return Belief(*p)
@@ -161,14 +169,18 @@ class PhotonCountModel:
         )
 
     def log_likelihood(self, n: int, alpha: int) -> float:
-        """log p(n | alpha); -inf where the pmf is exactly zero."""
+        """log p(n | alpha); -inf where the pmf is exactly zero, and for a
+        count too large for float arithmetic, whose pmf rounds to zero."""
         if n < 0:
             raise ValueError("photon count must be >= 0")
         check_state(alpha)
         mean = self.mean_counts[alpha]
-        if self.family == "poisson":
-            return _poisson_logpmf(n, mean)
-        return _neg_binomial_logpmf(n, mean, self.fano)
+        try:
+            if self.family == "poisson":
+                return _poisson_logpmf(n, mean)
+            return _neg_binomial_logpmf(n, mean, self.fano)
+        except OverflowError:
+            return -math.inf
 
 
 def _poisson_logpmf(n: int, mean: float) -> float:
@@ -196,8 +208,11 @@ def likelihood(model: PhotonCountModel, n: int, alpha: int) -> float:
     return math.exp(model.log_likelihood(n, alpha))
 
 
+@functools.lru_cache(maxsize=1024)
 def log_likelihoods(model: PhotonCountModel, n: int) -> tuple[float, float, float]:
-    """log p(n | alpha) for all three states at once."""
+    """log p(n | alpha) for all three states at once, memoized per
+    (model, count); an invalid count raises on every call, since exceptions
+    are not cached."""
     return tuple(model.log_likelihood(n, a) for a in STATES)
 
 

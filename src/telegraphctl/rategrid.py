@@ -32,7 +32,14 @@ import numpy as np
 
 from .errors import AllZeroError, CapExceededError, ZeroMeanError
 from .filtering import GUARD_LIMIT, guard_load, step_matrices
-from .model import Belief, PhotonCountModel, TraceRecord, TransitionRates, normalize
+from .model import (
+    Belief,
+    PhotonCountModel,
+    TraceRecord,
+    TransitionRates,
+    log_likelihoods,
+    normalize,
+)
 
 RATE_NAMES = ("r21", "r10", "r_repump")
 
@@ -174,7 +181,7 @@ def _propagator(spec: GridSpec, dt: float, method: str) -> _Propagator:
 def _bayes_weights(model: PhotonCountModel, n: int) -> np.ndarray:
     """p(n | alpha) / max_alpha p(n | alpha), read-only and memoized: a run
     sees few distinct counts."""
-    logl = np.array([model.log_likelihood(n, a) for a in range(3)])
+    logl = np.array(log_likelihoods(model, n))
     m = logl.max()
     if m == -math.inf:
         raise AllZeroError(f"count {n} has zero likelihood in every state")

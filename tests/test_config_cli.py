@@ -173,6 +173,24 @@ class TestCli:
         assert main([command, str(bad), "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "estimate-rates"])
+    @pytest.mark.parametrize("family", ["poisson", "overdispersed"])
+    @pytest.mark.parametrize("count", [10**308, 10**400], ids=["1e308", "400-digit"])
+    def test_overflowing_count_exit_2(
+        self, out, tmp_path, capsys, command, family, count
+    ):
+        # such a count's pmf rounds to zero in every state (the float
+        # arithmetic overflows), so the trace collapses to AllZeroError
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text(f"photon.family = {family}\nphoton.fano = 2.0\n")
+        trace = tmp_path / "big.csv"
+        trace.write_text(
+            f"bin_index,photon_count,pulse,true_state\n0,28,0,-1\n1,{count},0,-1\n"
+        )
+        argv = [command, str(trace), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert "zero likelihood" in capsys.readouterr().err
+
     def test_non_utf8_trace_exit_2(self, out, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"bin_index,photon_count,pulse,true_state\n0,5,\xff,1\n")

@@ -87,6 +87,17 @@ class TestPulseMatrix:
         )
         assert np.array_equal(m, expected)
 
+    def test_cached_matrix_is_read_only(self):
+        m = pulse_matrix(0.4, Pulse.REPUMP)
+        assert m is pulse_matrix(0.4, Pulse.REPUMP)
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+        for _ in range(2):  # exceptions are not cached
+            with pytest.raises(ValueError):
+                pulse_matrix(1.5, Pulse.REPUMP)
+            with pytest.raises(ValueError):
+                pulse_matrix(0.4, Pulse.NONE)
+
     def test_depump_is_index_reversed_mirror(self):
         for t in (0.0, 0.2, 0.5, 0.77, 1.0):
             mr = pulse_matrix(t, Pulse.REPUMP)

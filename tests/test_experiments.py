@@ -1,11 +1,17 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from telegraphctl import experiments, filtering
+from telegraphctl.config import ExperimentConfig, feedback_defaults
 from telegraphctl.control import ControlPolicy
-from telegraphctl.filtering import FilterConfig
+from telegraphctl.filtering import FilterConfig, run_filter, trace_log_likelihood
 from telegraphctl.model import Belief, Pulse, TransitionRates
 from telegraphctl.rng import derive_seed
-from telegraphctl.simulate import SimConfig, run_chain
+from telegraphctl.simulate import SimConfig, run_chain, run_trace
+from telegraphctl.traceio import format_trace
 from telegraphctl.experiments import (
     observe_chain,
     rebin_counts,
@@ -146,3 +152,107 @@ def test_rebin_counts_sums_and_truncates(default_model, paper_rates):
     assert coarse[-1].true_state == fine[99].true_state
     with pytest.raises(ValueError):
         rebin_counts(fine, 0)
+
+
+def _belief_hex(beliefs) -> str:
+    return ",".join(x.hex() for b in beliefs for x in b.as_tuple()) + ";"
+
+
+# Digests recorded on the code before the per-count log-likelihood table
+# and the memoized pulse matrices: any drift in the belief step, the policy
+# or the simulator changes them. Both sides of the replay tests change
+# together, so only frozen bits catch a changed rounding.
+CLOSED_LOOP_DIGESTS = {
+    "simple": "70e68520f68b26acf13ba392c316bb8b2969e1c648b49b32963812a1a564cf6c",
+    "optimal": "d5a23f1ed483ee1de0648e1779a415de7a5315947d48fa914cea96f0a7a50ff6",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CLOSED_LOOP_DIGESTS))
+def test_closed_loop_frozen_bits(mode):
+    cfg = replace(feedback_defaults(), policy_mode=mode)
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        run = run_closed_loop(
+            cfg.sim_config(seed), cfg.filter_config(), cfg.control_policy()
+        )
+        h.update(format_trace(run.records).encode())
+        h.update(_belief_hex(run.posteriors).encode())
+        for d in run.decisions:
+            h.update(
+                f"{int(d.action)} {d.transition_probability.hex()} "
+                f"{_belief_hex([d.predicted_belief])} {d.distance_before.hex()} "
+                f"{d.distance_after.hex()}\n".encode()
+            )
+    assert h.hexdigest() == CLOSED_LOOP_DIGESTS[mode]
+
+
+# (posterior digest, trace log-likelihood) of the default 5100-bin open-loop
+# trace, recorded like CLOSED_LOOP_DIGESTS
+OPEN_LOOP_BITS = {
+    "linear": (
+        "8b1009b022c2e9790b1fefc579e76fdf0c2ed656aa799d4d0ce4a2fe9c266546",
+        "-0x1.f529d88324a24p+13",
+    ),
+    "exact": (
+        "be008f1b5249050df4bcce1e15fac34b6ac84c179ec79b2c8ece0d8e17335672",
+        "-0x1.f53074511159dp+13",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(OPEN_LOOP_BITS))
+def test_open_loop_filter_frozen_bits(method):
+    cfg = replace(ExperimentConfig(), propagation=method)
+    records = run_trace(cfg.sim_config(11))
+    fc = cfg.filter_config()
+    digest = hashlib.sha256(_belief_hex(run_filter(records, fc)).encode()).hexdigest()
+    assert (digest, trace_log_likelihood(records, fc).hex()) == OPEN_LOOP_BITS[method]
+
+
+# perfbench wraps these module attributes for its per-layer spans
+# (filtering.propagate_prior, filtering.posterior_update,
+# control.decide_action), so the per-bin step must keep calling each of
+# them once per bin through these names.
+BELIEF_STEP_BOUNDARIES = [
+    (experiments, "propagate_prior"),
+    (experiments, "posterior_update"),
+    (experiments, "decide_action"),
+    (filtering, "propagate_prior"),
+    (filtering, "posterior_update"),
+]
+
+
+def test_belief_step_boundaries_called_once_per_bin(monkeypatch):
+    calls = {}
+    for owner, name in BELIEF_STEP_BOUNDARIES:
+        key = f"{owner.__name__.rsplit('.', 1)[1]}.{name}"
+        calls[key] = 0
+
+        def counted(*args, _key=key, _original=getattr(owner, name), **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    cfg = feedback_defaults()
+    run = run_closed_loop(cfg.sim_config(0), cfg.filter_config(), cfg.control_policy())
+    n = len(run.records)
+    assert any(rec.pulse for rec in run.records)
+    assert calls == {
+        "experiments.propagate_prior": n,
+        "experiments.posterior_update": n,
+        "experiments.decide_action": n,
+        "filtering.propagate_prior": 0,
+        "filtering.posterior_update": 0,
+    }
+
+    calls.update(dict.fromkeys(calls, 0))
+    filtering.run_filter(run.records, cfg.filter_config())
+    assert calls == {
+        "experiments.propagate_prior": 0,
+        "experiments.posterior_update": 0,
+        "experiments.decide_action": 0,
+        "filtering.propagate_prior": n,
+        "filtering.posterior_update": n,
+    }

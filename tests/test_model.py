@@ -46,6 +46,8 @@ class TestNormalize:
             normalize((1.0, -0.1, 0.0))
         with pytest.raises(ValueError):
             normalize((1.0, math.inf, 0.0))
+        with pytest.raises(ValueError):
+            normalize((1.0, math.nan, 0.0))
 
     def test_idempotent_exactly(self):
         rng = np.random.default_rng(0)
@@ -155,6 +157,20 @@ class TestPhotonCountModel:
     def test_log_likelihoods_helper(self, default_model):
         logl = log_likelihoods(default_model, 16)
         assert logl == tuple(default_model.log_likelihood(16, a) for a in (0, 1, 2))
+
+    def test_log_likelihoods_memoized(self, default_model):
+        assert log_likelihoods(default_model, 16) is log_likelihoods(default_model, 16)
+        for _ in range(3):  # exceptions are not cached
+            with pytest.raises(ValueError):
+                log_likelihoods(default_model, -1)
+
+    @pytest.mark.parametrize(
+        "family, fano", [("poisson", None), ("overdispersed", 2.0)]
+    )
+    @pytest.mark.parametrize("n", [10**308, 10**400])
+    def test_overflowing_count_has_zero_pmf(self, family, fano, n):
+        model = PhotonCountModel((40.0, 28.0, 16.0), family=family, fano=fano)
+        assert log_likelihoods(model, n) == (-math.inf,) * 3
 
 
 def test_trace_record_validation():

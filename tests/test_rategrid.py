@@ -17,7 +17,13 @@ from telegraphctl.filtering import (
     run_filter,
     step_matrices,
 )
-from telegraphctl.model import Belief, TraceRecord, TransitionRates, log_likelihoods
+from telegraphctl.model import (
+    Belief,
+    PhotonCountModel,
+    TraceRecord,
+    TransitionRates,
+    log_likelihoods,
+)
 from telegraphctl.rategrid import (
     RATE_NAMES,
     GridAxis,
@@ -377,6 +383,14 @@ class TestHostileCounts:
         assert w is _bayes_weights(default_model, 30)
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+    @pytest.mark.parametrize("n", [0, 16, 28, 600, 840])
+    def test_weights_read_shared_table(self, default_model, n):
+        overdispersed = PhotonCountModel((40.0, 28.0, 16.0), "overdispersed", 2.0)
+        for model in (default_model, overdispersed):
+            logl = np.array(log_likelihoods(model, n))
+            expected = np.exp(logl - logl.max())
+            assert np.array_equal(_bayes_weights(model, n), expected)
 
     def test_subnormal_total_still_normalizes(self, default_model):
         grid = init_flat(SMALL_SPEC, DELTA2)
