@@ -32,7 +32,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .errors import ConfigError, NotConvergedWarning, TelegraphError
+from .errors import AllZeroError, ConfigError, NotConvergedWarning, TelegraphError
 from .experiments import run_closed_loop_ensemble, run_open_loop_ensemble
 from .filtering import run_filter
 from .model import TransitionRates
@@ -95,6 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command-line flag (argparse dest) -> the config key it overrides
+_OVERRIDES = {
+    "seed": "run.seed",
+    "traces": "run.n_traces",
+    "bin_time_ms": "sim.bin_time_ms",
+    "policy": "policy.mode",
+    "bins": "sim.n_bins",
+}
+
+
 def _load_config(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = base if base is not None else ExperimentConfig()
     if args.config is not None:
@@ -103,17 +113,12 @@ def _load_config(args, base: ExperimentConfig | None = None) -> ExperimentConfig
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text, base=cfg)
-    overrides = []
-    if args.seed is not None:
-        overrides.append(f"run.seed = {args.seed}")
-    if args.traces is not None:
-        overrides.append(f"run.n_traces = {args.traces}")
-    if args.bin_time_ms is not None:
-        overrides.append(f"sim.bin_time_ms = {args.bin_time_ms!r}")
-    if args.policy is not None:
-        overrides.append(f"policy.mode = {args.policy}")
-    if getattr(args, "bins", None) is not None:
-        overrides.append(f"sim.n_bins = {args.bins}")
+    given = vars(args)  # a float's str is its repr, so values round-trip
+    overrides = [
+        f"{key} = {given[flag]}"
+        for flag, key in _OVERRIDES.items()
+        if given.get(flag) is not None
+    ]
     if overrides:
         cfg = parse_config("\n".join(overrides), base=cfg)
     return cfg
@@ -162,17 +167,20 @@ def cmd_estimate_rates(args) -> int:
     method = "exact" if cfg.propagation == "exact" else None  # None: auto
     for path in args.traces_in:
         records = read_trace(path)
-        result = run_estimation(
-            records,
-            cfg.grid,
-            model,
-            cfg.bin_time,
-            initial_states=cfg.initial_belief,
-            stop_threshold=args.stop_threshold,
-            stop_at_trigger=True,
-            snapshot_every=max(1, len(records) // 10),
-            method=method,
-        )
+        try:
+            result = run_estimation(
+                records,
+                cfg.grid,
+                model,
+                cfg.bin_time,
+                initial_states=cfg.initial_belief,
+                stop_threshold=args.stop_threshold,
+                stop_at_trigger=True,
+                snapshot_every=max(1, len(records) // 10),
+                method=method,
+            )
+        except AllZeroError as exc:
+            raise AllZeroError(f"{path}: {exc}") from None
         marg = result.reported_marginals()
         if not result.converged:
             all_converged = False
@@ -327,7 +335,10 @@ def cmd_analyze(args) -> int:
     accuracy_n = accuracy_hits = 0
     for path in args.traces_in:
         records = read_trace(path)
-        beliefs = run_filter(records, fc)
+        try:
+            beliefs = run_filter(records, fc)
+        except AllZeroError as exc:
+            raise AllZeroError(f"{path}: {exc}") from None
         posteriors.append(beliefs)
         for rec, b in zip(records, beliefs):
             if rec.true_state is not None:

@@ -1,9 +1,13 @@
 """Experiment configuration: flat ``key = value`` text with dotted sections.
 
-All physical quantities carry their unit in the key name (bin_time_ms,
-*_per_s). Unknown keys are rejected with the offending line number, so a
-typo cannot silently fall back to a default. parse/serialize round-trip
-exactly: floats are written with repr().
+The table ``_KEYS`` is the one list of keys: each row names a key, the
+ExperimentConfig attribute it sets and the parser of its value, in
+serialization order. parse_config and serialize_config both walk it, and
+the CLI overrides are config lines fed to parse_config. All physical
+quantities carry their unit in the key name (bin_time_ms, *_per_s).
+Unknown keys and bad values are rejected with the offending line number,
+so a typo cannot silently fall back to a default. parse/serialize
+round-trip exactly: floats are written with repr().
 
 The same photon model drives the simulator and the filter unless the
 explicit mismatch override is set (robustness experiments only).
@@ -11,14 +15,15 @@ explicit mismatch override is set (robustness experiments only).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .control import DEFAULT_T_DEPUMP, DEFAULT_T_REPUMP, ControlPolicy
-from .errors import ConfigError
+from .errors import AllZeroError, ConfigError
 from .filtering import FilterConfig
 from .model import Belief, PhotonCountModel, TransitionRates, normalize
-from .rategrid import GridAxis, GridSpec
+from .rategrid import GridSpec
 from .simulate import SimConfig
 
 DEFAULT_MEAN_COUNTS = (40.0, 28.0, 16.0)
@@ -104,53 +109,109 @@ def feedback_defaults() -> ExperimentConfig:
     )
 
 
-def _triple(text: str, lineno: int, key: str) -> tuple[float, float, float]:
+def _join(values) -> str:
+    return ",".join(repr(x) for x in values)
+
+
+def _number(cast):
+    """Parser of one ``cast`` (int or float) value."""
+
+    def parse(text: str, key: str):
+        try:
+            return cast(text)
+        except ValueError:
+            raise ValueError(
+                f"cannot parse {key} value {text!r} as {cast.__name__}"
+            ) from None
+
+    return parse
+
+
+_int, _float = _number(int), _number(float)
+
+
+def _text(text: str, key: str) -> str:
+    return text
+
+
+def _triple(text: str, key: str) -> tuple[float, float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
-        raise ConfigError(f"line {lineno}: {key} needs three comma-separated values")
+        raise ValueError(f"{key} needs three comma-separated values")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {key} has a non-numeric component") from None
+        raise ValueError(f"{key} has a non-numeric component") from None
 
 
-def _scalar(cast, text: str, lineno: int, key: str):
+def _belief(text: str, key: str) -> Belief:
+    weights = _triple(text, key)
     try:
-        return cast(text)
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: cannot parse {key} value {text!r} as {cast.__name__}"
-        ) from None
+        return normalize(weights)
+    except (ValueError, AllZeroError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
-def _bool(text: str, lineno: int, key: str) -> bool:
+def _bool(text: str, key: str) -> bool:
     if text.lower() in ("true", "1", "yes"):
         return True
     if text.lower() in ("false", "0", "no"):
         return False
-    raise ConfigError(f"line {lineno}: {key} must be true or false, got {text!r}")
+    raise ValueError(f"{key} must be true or false, got {text!r}")
+
+
+# How each value parser's result is written back: numbers and text with
+# str (repr for floats, so they round-trip exactly), triples and beliefs
+# (which index like triples) as comma-joined reprs, a set flag as "true".
+_FORMAT = {
+    _int: str,
+    _float: repr,
+    _text: str,
+    _triple: _join,
+    _belief: _join,
+    _bool: lambda flag: "true",
+}
+
+# The config language: key -> (ExperimentConfig attribute path, value
+# parser), in serialization order.
+_KEYS = {
+    "run.seed": ("seed", _int),
+    "run.n_traces": ("n_traces", _int),
+    "sim.bin_time_ms": ("bin_time_ms", _float),
+    "sim.n_bins": ("n_bins", _int),
+    "sim.initial_state": ("initial_state", _int),
+    "rates.r21_per_s": ("rates.r21", _float),
+    "rates.r10_per_s": ("rates.r10", _float),
+    "rates.repump_per_s": ("rates.r_repump", _float),
+    "rates.depump_per_s": ("rates.r_depump", _float),
+    "photon.mean_counts_per_bin": ("mean_counts", _triple),
+    "photon.family": ("family", _text),
+    "photon.fano": ("fano", _float),
+    "filter.initial_belief": ("initial_belief", _belief),
+    "filter.propagation": ("propagation", _text),
+    "filter.allow_model_mismatch": ("allow_model_mismatch", _bool),
+    "filter.mean_counts_per_bin": ("filter_mean_counts", _triple),
+    "grid.r21.min_per_s": ("grid.r21.min", _float),
+    "grid.r21.max_per_s": ("grid.r21.max", _float),
+    "grid.r21.points": ("grid.r21.n_points", _int),
+    "grid.r10.min_per_s": ("grid.r10.min", _float),
+    "grid.r10.max_per_s": ("grid.r10.max", _float),
+    "grid.r10.points": ("grid.r10.n_points", _int),
+    "grid.repump.min_per_s": ("grid.r_repump.min", _float),
+    "grid.repump.max_per_s": ("grid.r_repump.max", _float),
+    "grid.repump.points": ("grid.r_repump.n_points", _int),
+    "grid.max_cells": ("grid.max_cells", _int),
+    "policy.mode": ("policy_mode", _text),
+    "policy.t_repump": ("t_repump", _float),
+    "policy.t_depump": ("t_depump", _float),
+    "policy.target": ("target", _belief),
+}
 
 
 def parse_config(text: str, base: Optional[ExperimentConfig] = None) -> ExperimentConfig:
     """Parse flat dotted-key config text on top of ``base`` (or defaults)."""
     cfg = base if base is not None else ExperimentConfig()
-    rates = dict(
-        r21=cfg.rates.r21,
-        r10=cfg.rates.r10,
-        r_repump=cfg.rates.r_repump,
-        r_depump=cfg.rates.r_depump,
-    )
-    axes = {
-        name: {"min": axis.min, "max": axis.max, "points": axis.n_points}
-        for name, axis in (
-            ("r21", cfg.grid.r21),
-            ("r10", cfg.grid.r10),
-            ("repump", cfg.grid.r_repump),
-        )
-    }
-    grid_cells = cfg.grid.max_cells
-    updates: dict = {}
-
+    changes: dict = {}  # nested by attribute path
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -160,81 +221,38 @@ def parse_config(text: str, base: Optional[ExperimentConfig] = None) -> Experime
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value")
-        if key == "run.seed":
-            updates["seed"] = _scalar(int, value, lineno, key)
-        elif key == "run.n_traces":
-            updates["n_traces"] = _scalar(int, value, lineno, key)
-        elif key == "sim.bin_time_ms":
-            updates["bin_time_ms"] = _scalar(float, value, lineno, key)
-        elif key == "sim.n_bins":
-            updates["n_bins"] = _scalar(int, value, lineno, key)
-        elif key == "sim.initial_state":
-            updates["initial_state"] = _scalar(int, value, lineno, key)
-        elif key == "rates.r21_per_s":
-            rates["r21"] = _scalar(float, value, lineno, key)
-        elif key == "rates.r10_per_s":
-            rates["r10"] = _scalar(float, value, lineno, key)
-        elif key == "rates.repump_per_s":
-            rates["r_repump"] = _scalar(float, value, lineno, key)
-        elif key == "rates.depump_per_s":
-            rates["r_depump"] = _scalar(float, value, lineno, key)
-        elif key == "photon.mean_counts_per_bin":
-            updates["mean_counts"] = _triple(value, lineno, key)
-        elif key == "photon.family":
-            updates["family"] = value
-        elif key == "photon.fano":
-            updates["fano"] = _scalar(float, value, lineno, key)
-        elif key == "filter.initial_belief":
-            updates["initial_belief"] = normalize(_triple(value, lineno, key))
-        elif key == "filter.propagation":
-            updates["propagation"] = value
-        elif key == "filter.allow_model_mismatch":
-            updates["allow_model_mismatch"] = _bool(value, lineno, key)
-        elif key == "filter.mean_counts_per_bin":
-            updates["filter_mean_counts"] = _triple(value, lineno, key)
-        elif key.startswith("grid."):
-            parts = key.split(".")
-            if len(parts) == 2 and parts[1] == "max_cells":
-                grid_cells = _scalar(int, value, lineno, key)
-                continue
-            if len(parts) != 3 or parts[1] not in axes:
-                raise ConfigError(f"line {lineno}: unknown grid key {key!r}")
-            if parts[2] == "min_per_s":
-                axes[parts[1]]["min"] = _scalar(float, value, lineno, key)
-            elif parts[2] == "max_per_s":
-                axes[parts[1]]["max"] = _scalar(float, value, lineno, key)
-            elif parts[2] == "points":
-                axes[parts[1]]["points"] = _scalar(int, value, lineno, key)
-            else:
-                raise ConfigError(f"line {lineno}: unknown grid key {key!r}")
-        elif key == "policy.mode":
-            updates["policy_mode"] = value
-        elif key == "policy.t_repump":
-            updates["t_repump"] = _scalar(float, value, lineno, key)
-        elif key == "policy.t_depump":
-            updates["t_depump"] = _scalar(float, value, lineno, key)
-        elif key == "policy.target":
-            updates["target"] = normalize(_triple(value, lineno, key))
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        path, parse = _KEYS[key]
+        *parents, name = path.split(".")
+        node = changes
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        try:
+            node[name] = parse(value, key)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
 
     try:
-        updates["rates"] = TransitionRates(**rates)
-        updates["grid"] = GridSpec(
-            r21=GridAxis(axes["r21"]["min"], axes["r21"]["max"], axes["r21"]["points"]),
-            r10=GridAxis(axes["r10"]["min"], axes["r10"]["max"], axes["r10"]["points"]),
-            r_repump=GridAxis(
-                axes["repump"]["min"], axes["repump"]["max"], axes["repump"]["points"]
-            ),
-            max_cells=grid_cells,
-        )
-        cfg = replace(cfg, **updates)
+        cfg = _rebuild(cfg, changes)
         _validate(cfg)
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
+
+
+def _rebuild(obj, changes: dict):
+    """``obj`` with the nested ``changes`` applied, rebuilding (and so
+    re-validating) each changed dataclass once."""
+    return replace(
+        obj,
+        **{
+            name: _rebuild(getattr(obj, name), sub) if isinstance(sub, dict) else sub
+            for name, sub in changes.items()
+        },
+    )
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -253,50 +271,11 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) == cfg."""
-    lines = [
-        f"run.seed = {cfg.seed}",
-        f"run.n_traces = {cfg.n_traces}",
-        f"sim.bin_time_ms = {cfg.bin_time_ms!r}",
-        f"sim.n_bins = {cfg.n_bins}",
-        f"sim.initial_state = {cfg.initial_state}",
-        f"rates.r21_per_s = {cfg.rates.r21!r}",
-        f"rates.r10_per_s = {cfg.rates.r10!r}",
-        f"rates.repump_per_s = {cfg.rates.r_repump!r}",
-        f"rates.depump_per_s = {cfg.rates.r_depump!r}",
-        "photon.mean_counts_per_bin = "
-        + ",".join(repr(x) for x in cfg.mean_counts),
-        f"photon.family = {cfg.family}",
-    ]
-    if cfg.fano is not None:
-        lines.append(f"photon.fano = {cfg.fano!r}")
-    lines += [
-        "filter.initial_belief = "
-        + ",".join(repr(x) for x in cfg.initial_belief.as_tuple()),
-        f"filter.propagation = {cfg.propagation}",
-    ]
-    if cfg.allow_model_mismatch:
-        lines.append("filter.allow_model_mismatch = true")
-    if cfg.filter_mean_counts is not None:
-        lines.append(
-            "filter.mean_counts_per_bin = "
-            + ",".join(repr(x) for x in cfg.filter_mean_counts)
-        )
-    for name, axis in (
-        ("r21", cfg.grid.r21),
-        ("r10", cfg.grid.r10),
-        ("repump", cfg.grid.r_repump),
-    ):
-        lines += [
-            f"grid.{name}.min_per_s = {axis.min!r}",
-            f"grid.{name}.max_per_s = {axis.max!r}",
-            f"grid.{name}.points = {axis.n_points}",
-        ]
-    lines += [
-        f"grid.max_cells = {cfg.grid.max_cells}",
-        f"policy.mode = {cfg.policy_mode}",
-        f"policy.t_repump = {cfg.t_repump!r}",
-        f"policy.t_depump = {cfg.t_depump!r}",
-        "policy.target = " + ",".join(repr(x) for x in cfg.target.as_tuple()),
-    ]
+    """Canonical text form; parse(serialize(cfg)) == cfg. An optional value
+    that is unset (None) or off (False) is left out."""
+    lines = []
+    for key, (path, parse) in _KEYS.items():
+        value = functools.reduce(getattr, path.split("."), cfg)
+        if value is not None and value is not False:
+            lines.append(f"{key} = {_FORMAT[parse](value)}")
     return "\n".join(lines) + "\n"

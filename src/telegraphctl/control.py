@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .filtering import pulse_matrix
-from .model import Belief, Pulse, normalize
+# pulse_matrix stays importable from here, next to the policies that use it
+from .filtering import pulse_matrix, pulsed_belief  # noqa: F401
+from .model import Belief, Pulse
 from .simulate import PulseSpec
 
 # Result of the tuning sweep with the default configuration (seeded, see
@@ -153,10 +152,6 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
     return [q / a, c / q] if q != 0.0 else [0.0]
 
 
-def _predicted(belief: Belief, t: float, action: Pulse) -> Belief:
-    return normalize(pulse_matrix(t, action) @ np.asarray(belief.as_tuple()))
-
-
 def decide_action_simple(belief: Belief, policy: ControlPolicy) -> ControlDecision:
     """Fixed-T threshold rule: repump when p0 strictly dominates, depump when
     p2 strictly dominates, otherwise no pulse; ties mean no pulse. A pulse
@@ -171,7 +166,7 @@ def decide_action_simple(belief: Belief, policy: ControlPolicy) -> ControlDecisi
         action, t = Pulse.DEPUMP, policy.fixed_t_depump
     else:
         return ControlDecision(Pulse.NONE, 0.0, belief, k_before, k_before)
-    predicted = _predicted(belief, t, action)
+    predicted = pulsed_belief(belief, t, action)
     k_after = kolmogorov_distance(policy.target, predicted)
     if k_after > k_before:
         return ControlDecision(Pulse.NONE, 0.0, belief, k_before, k_before)
@@ -192,7 +187,7 @@ def decide_action_optimal(belief: Belief, policy: ControlPolicy) -> ControlDecis
         action, t, k = Pulse.REPUMP, t_r, k_r
     else:
         action, t, k = Pulse.DEPUMP, t_d, k_d
-    predicted = _predicted(belief, t, action)
+    predicted = pulsed_belief(belief, t, action)
     return ControlDecision(action, t, predicted, k_none, k)
 
 

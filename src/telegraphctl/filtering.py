@@ -243,8 +243,16 @@ def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
     return m
 
 
+def pulsed_belief(belief: Belief, t: float, direction: Pulse) -> Belief:
+    """Belief after one pulse, through the cached pulse_matrix(t, direction).
+    That matrix is exactly stochastic and non-negative by construction, so
+    nothing is checked and the product needs no clamping."""
+    return normalize(pulse_matrix(t, direction) @ np.asarray(belief.as_tuple()))
+
+
 def apply_pulse_to_belief(belief: Belief, matrix: np.ndarray) -> Belief:
-    """Multiply the belief by a column-stochastic pulse matrix."""
+    """Multiply the belief by a caller-supplied column-stochastic pulse
+    matrix, checking its shape, signs and column sums first."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise NotStochasticError(f"expected a 3x3 matrix, got shape {m.shape}")
@@ -264,15 +272,20 @@ def run_filter(records: Sequence[TraceRecord], config: FilterConfig) -> list[Bel
     recorded count, and finally fold in the recorded pulse (if any) so the
     next prior reflects it. The returned sequence holds the post-measurement
     posteriors (before the pulse), which is what occupancy statistics and
-    the controller act on.
+    the controller act on. An AllZeroError names the bin it arose in.
     """
     posteriors: list[Belief] = []
     belief = config.initial_belief
-    for rec in records:
-        prior = propagate_prior(belief, config.rates, config.bin_time, config.propagation)
-        post = posterior_update(prior, rec.photon_count, config.photon_model)
-        posteriors.append(post)
-        belief = _fold_pulse(post, rec.pulse, config)
+    try:
+        for rec in records:
+            prior = propagate_prior(
+                belief, config.rates, config.bin_time, config.propagation
+            )
+            post = posterior_update(prior, rec.photon_count, config.photon_model)
+            posteriors.append(post)
+            belief = _fold_pulse(post, rec.pulse, config)
+    except AllZeroError as exc:
+        raise AllZeroError(f"bin {rec.bin_index}: {exc}") from None
     return posteriors
 
 
@@ -285,7 +298,7 @@ def _fold_pulse(post: Belief, pulse: Pulse, config: FilterConfig) -> Belief:
             "trace carries pulse events but FilterConfig does not define the "
             "matching transition probability"
         )
-    return apply_pulse_to_belief(post, pulse_matrix(t, pulse))
+    return pulsed_belief(post, t, pulse)
 
 
 def trace_log_likelihood(records: Sequence[TraceRecord], config: FilterConfig) -> float:

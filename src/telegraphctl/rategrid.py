@@ -184,7 +184,7 @@ def _bayes_weights(model: PhotonCountModel, n: int) -> np.ndarray:
     logl = np.array(log_likelihoods(model, n))
     m = logl.max()
     if m == -math.inf:
-        raise AllZeroError(f"count {n} has zero likelihood in every state")
+        raise AllZeroError("the count has zero likelihood in every state")
     w = np.exp(logl - m)
     w.flags.writeable = False
     return w
@@ -343,7 +343,7 @@ def run_estimation(
 
     method defaults to the linearized step whenever every grid cell
     satisfies the validity guard for dt, and to the exact matrix-exponential
-    step otherwise.
+    step otherwise. An AllZeroError names the bin it arose in.
     """
     if any(rec.pulse for rec in records):
         raise ValueError("rate estimation expects open-loop traces without pulses")
@@ -360,22 +360,27 @@ def run_estimation(
     rms_history = []
     snapshots = []
     n_seen = 0
-    for rec in records:
-        _step(prop, joint, buf, model, rec.photon_count)
-        joint, buf = buf, joint
-        grid.joint = joint
-        n_seen += 1
-        if stop_bin is None and stopping_check(grid, stop_threshold):
-            stop_bin = rec.bin_index
-            marginals_at_stop = marginal_rates(grid)
-            states_at_stop = marginal_states(grid)
-            if stop_at_trigger:
-                break
-        if history_every and n_seen % history_every == 0:
-            m = marginal_rates(grid)
-            rms_history.append((rec.bin_index, m.r21.rms, m.r10.rms, m.r_repump.rms))
-        if snapshot_every and n_seen % snapshot_every == 0:
-            snapshots.append((rec.bin_index, _axis_marginals(grid)))
+    try:
+        for rec in records:
+            _step(prop, joint, buf, model, rec.photon_count)
+            joint, buf = buf, joint
+            grid.joint = joint
+            n_seen += 1
+            if stop_bin is None and stopping_check(grid, stop_threshold):
+                stop_bin = rec.bin_index
+                marginals_at_stop = marginal_rates(grid)
+                states_at_stop = marginal_states(grid)
+                if stop_at_trigger:
+                    break
+            if history_every and n_seen % history_every == 0:
+                m = marginal_rates(grid)
+                rms_history.append(
+                    (rec.bin_index, m.r21.rms, m.r10.rms, m.r_repump.rms)
+                )
+            if snapshot_every and n_seen % snapshot_every == 0:
+                snapshots.append((rec.bin_index, _axis_marginals(grid)))
+    except AllZeroError as exc:
+        raise AllZeroError(f"bin {rec.bin_index}: {exc}") from None
     final_marginals = marginal_rates(grid)
     final_states = marginal_states(grid)
     return EstimationResult(

@@ -32,7 +32,6 @@ class PulseSpec:
 
     direction: Pulse
     transition_probability: float
-    nominal_duration: float = 1.5e-6  # documentation only; applied instantaneously
 
     def __post_init__(self):
         if self.direction not in (Pulse.REPUMP, Pulse.DEPUMP):

@@ -88,10 +88,6 @@ def write_manifest(path: Path, payload: dict) -> None:
     )
 
 
-def read_manifest(path: Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     for row in rows:

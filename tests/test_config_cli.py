@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,47 @@ from telegraphctl.config import (
 )
 from telegraphctl.errors import ConfigError, TraceFormatError
 from telegraphctl.model import Pulse, TraceRecord
-from telegraphctl.traceio import format_trace, parse_trace, read_trace, write_trace
+from telegraphctl.traceio import (
+    config_digest,
+    format_trace,
+    parse_trace,
+    read_trace,
+    write_trace,
+)
+
+# a valid config in canonical form in which every key differs from its default
+EVERY_KEY_CHANGED = """\
+run.seed = 17
+run.n_traces = 4
+sim.bin_time_ms = 0.5
+sim.n_bins = 1200
+sim.initial_state = 1
+rates.r21_per_s = 30.0
+rates.r10_per_s = 45.0
+rates.repump_per_s = 20.0
+rates.depump_per_s = 5.0
+photon.mean_counts_per_bin = 55.5,38.85,22.2
+photon.family = overdispersed
+photon.fano = 2.5
+filter.initial_belief = 0.25,0.25,0.5
+filter.propagation = exact
+filter.allow_model_mismatch = true
+filter.mean_counts_per_bin = 50.0,35.0,20.0
+grid.r21.min_per_s = 1.0
+grid.r21.max_per_s = 100.0
+grid.r21.points = 11
+grid.r10.min_per_s = 3.0
+grid.r10.max_per_s = 120.0
+grid.r10.points = 13
+grid.repump.min_per_s = 0.0
+grid.repump.max_per_s = 90.0
+grid.repump.points = 7
+grid.max_cells = 100000
+policy.mode = optimal
+policy.t_repump = 0.45
+policy.t_depump = 0.35
+policy.target = 0.125,0.75,0.125
+"""
 
 
 class TestConfigParsing:
@@ -43,6 +85,53 @@ class TestConfigParsing:
         assert cfg.grid.r21.n_points == 11
         assert cfg.policy_mode == "optimal"
         assert parse_config(serialize_config(cfg)) == cfg
+        # a key the parser or the serializer missed would surface here
+        cfg = parse_config(EVERY_KEY_CHANGED)
+        default = ExperimentConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+        assert serialize_config(cfg) == EVERY_KEY_CHANGED
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (
+                ExperimentConfig(),
+                "0b107ecf4edabdc45236ee4c49649c3d3ec4a47e2ddcfe2d9601be97e75e50bc",
+            ),
+            (
+                feedback_defaults(),
+                "1b3b5aafb16040569a10ebebd08859c4e148f28bb574cb28852c61e34ecaa4b5",
+            ),
+            (
+                replace(
+                    ExperimentConfig(),
+                    family="overdispersed",
+                    fano=2.0,
+                    allow_model_mismatch=True,
+                    filter_mean_counts=(41.0, 29.0, 17.0),
+                ),
+                "d6b77376c8a75d495d06286cf4ca1170649aa4fa5c772f685e38e301b829ee88",
+            ),
+        ],
+        ids=["default", "feedback", "optional-keys"],
+    )
+    def test_serialized_text_frozen(self, cfg, digest):
+        # the manifests' config_sha256 values depend on these exact bytes
+        assert config_digest(serialize_config(cfg)) == digest
+
+    def test_readme_example_round_trips(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        (text,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        cfg = parse_config(text)
+        assert cfg.grid.r21.n_points == 25
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("key", ["filter.initial_belief", "policy.target"])
+    @pytest.mark.parametrize("value", ["0,0,0", "-1,1,1", "nan,1,1"])
+    def test_unnormalizable_belief_line_precise(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^line 2: {re.escape(key)}"):
+            parse_config(f"run.seed = 1\n{key} = {value}\n")
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nrun.seed = 5  # trailing\n")
@@ -161,10 +250,16 @@ class TestCli:
             out2 / "trace_0000.csv"
         ).read_bytes()
 
-    def test_config_error_exit_code(self, out, tmp_path):
+    def test_config_error_exit_code(self, out, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
+        argv = ["simulate", "--config", str(bad), "--out", str(out)]
         bad.write_text("nonsense.key = 1\n")
-        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+        assert main(argv) == 1
+        bad.write_text("run.seed = 1\nfilter.initial_belief = 0,0,0\n")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error: line 1: unknown key 'nonsense.key'" in err
+        assert "config error: line 2: filter.initial_belief: weights sum" in err
 
     @pytest.mark.parametrize("command", ["analyze", "estimate-rates"])
     def test_malformed_trace_exit_2(self, out, tmp_path, capsys, command):
@@ -189,7 +284,12 @@ class TestCli:
         )
         argv = [command, str(trace), "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 2
-        assert "zero likelihood" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "zero likelihood" in err
+        # the error names the file and the bin, not the whole count
+        assert f"error: {trace}: bin 1: " in err
+        assert str(count) not in err
+        assert len(err) < 200
 
     def test_non_utf8_trace_exit_2(self, out, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
