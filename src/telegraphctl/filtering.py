@@ -7,10 +7,12 @@ Continuous depumping is deliberately absent from G (in the belief model it
 acts through pulses only) while the simulator supports it, which keeps the
 mismatch testable. The linearization is valid while
 max(2*Rr, R10+Rr, R21) * dt < 0.5; outside that region callers must use
-the exact matrix-exponential mode. Rates, dt and the pulse transition
-probabilities are fixed for a run, so each (rates, dt, method) transition
-matrix and each (T, direction) pulse matrix is built once and shared
-read-only; the per-count log-likelihoods come from the memoized table in
+the exact mode, exp(dt*G) from expm() by uniformization: a Taylor series
+of non-negative terms, scaled and squared, so every entry is computed
+without cancellation. Rates, dt and the pulse transition probabilities are
+fixed for a run, so each (rates, dt, method) transition matrix and each
+(T, direction) pulse matrix is built once and shared read-only; the
+per-count log-likelihoods come from the memoized table in
 model.log_likelihoods.
 """
 
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import AllZeroError, GuardViolatedError, NotStochasticError
 from .model import (
@@ -45,28 +46,92 @@ def generator(rates: TransitionRates) -> np.ndarray:
     Column sums are exactly zero; continuous depumping is not part of the
     belief propagation model.
     """
-    return _generators(rates.r21, rates.r10, rates.r_repump)
-
-
-def _generators(r21, r10, r_repump) -> np.ndarray:
-    """Generators for rates broadcast together, stacked as (..., 3, 3)."""
-    r21, r10, rr = np.broadcast_arrays(
-        *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
+    r21, r10, rr = rates.r21, rates.r10, rates.r_repump
+    return np.array(
+        [[-2.0 * rr, r10, 0.0], [2.0 * rr, -r10 - rr, r21], [0.0, rr, -r21]]
     )
-    g = np.zeros(r21.shape + (3, 3))
-    g[..., 0, 0] = -2.0 * rr
-    g[..., 0, 1] = r10
-    g[..., 1, 0] = 2.0 * rr
-    g[..., 1, 1] = -r10 - rr
-    g[..., 1, 2] = r21
-    g[..., 2, 1] = rr
-    g[..., 2, 2] = -r21
-    return g
 
 
 def guard_load(rates: TransitionRates, dt: float) -> float:
     """Linearization load; must stay below GUARD_LIMIT."""
     return max(2.0 * rates.r_repump, rates.r10 + rates.r_repump, rates.r21) * dt
+
+
+# Taylor terms of exp(B) for ||B||_1 = x < 1. The tests hold every entry
+# to 1e-13 relative against a 40-digit oracle; 12 terms give 1.5e-9.
+_TAYLOR_TERMS = 18
+
+
+def _square(m: np.ndarray) -> np.ndarray:
+    """m @ m per cell for a (3, 3, n) stack of column-stochastic matrices,
+    written out entry by entry, with each column rescaled to unit sum: the
+    square of a stochastic matrix is stochastic, and the rescaling keeps
+    rounding in the column sums from doubling with every squaring."""
+    out = np.empty_like(m)
+    for i in range(3):
+        np.multiply(m[i, 0], m[0], out=out[i])
+        out[i] += m[i, 1] * m[1]
+        out[i] += m[i, 2] * m[2]
+    out /= out[0] + out[1] + out[2]
+    return out
+
+
+def expm(r21, r10, r_repump, dt: float) -> np.ndarray:
+    """exp(dt*G) for rates broadcast together, stacked as (..., 3, 3), by
+    uniformization with scaling and squaring.
+
+    Per cell, c = dt * max(2*Rr, R10+Rr, R21) and s >= 0 is the least
+    power of two with x = c / 2**s < 1. B = (dt / 2**s) * G + x*I is
+    non-negative and its columns sum to x. The Taylor series of exp(B),
+    summed by Horner to a fixed number of terms, has columns summing to
+    the same series of exp(x); dividing by those column sums gives
+    exp(dt*G / 2**s), which is squared s times. Every term, product and
+    sum adds non-negative numbers, so no entry loses relative accuracy and
+    none needs clamping; dt = 0 or all-zero rates give the identity
+    exactly, and a dt far beyond every relaxation time gives the
+    stationary distribution in every column.
+    The entries are computed elementwise over cells (no matrix products or
+    reductions), so a cell's bits do not depend on the rest of the batch.
+    """
+    r21, r10, rr = np.broadcast_arrays(
+        *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
+    )
+    shape = r21.shape
+    r21, r10, rr = r21.ravel(), r10.ravel(), rr.ravel()
+    d0 = 2.0 * rr
+    d1 = r10 + rr
+    dmax = np.maximum(np.maximum(d0, d1), r21)
+    s = np.maximum(np.frexp(dt * dmax)[1], 0)
+    h = np.ldexp(dt, -s)
+    x = h * dmax  # h * d <= x for every diagonal rate d, so B >= 0
+    n = x.size
+    b00, b10, b01, b11, b21, b12, b22 = (
+        x - h * d0, h * d0, h * r10, x - h * d1, h * rr, h * r21, x - h * r21
+    )
+    t = np.zeros((3, 3, n))
+    t[0, 0], t[1, 0], t[0, 1], t[1, 1] = b00, b10, b01, b11
+    t[2, 1], t[1, 2], t[2, 2] = b21, b12, b22
+    # Horner: t <- I + B t / k for k = N, ..., 1 (the first step from t = I)
+    t /= _TAYLOR_TERMS
+    t.reshape(9, n)[::4] += 1.0  # the diagonal entries
+    out = np.empty_like(t)
+    tmp = np.empty((3, n))
+    for k in range(_TAYLOR_TERMS - 1, 0, -1):
+        np.multiply(b00, t[0], out=out[0])
+        out[0] += np.multiply(b01, t[1], out=tmp)
+        np.multiply(b10, t[0], out=out[1])
+        out[1] += np.multiply(b11, t[1], out=tmp)
+        out[1] += np.multiply(b12, t[2], out=tmp)
+        np.multiply(b21, t[1], out=out[2])
+        out[2] += np.multiply(b22, t[2], out=tmp)
+        out /= k
+        out.reshape(9, n)[::4] += 1.0
+        t, out = out, t
+    t /= t[0] + t[1] + t[2]
+    for j in range(int(s.max(initial=0))):
+        more = s > j  # cells that still need squaring
+        t[:, :, more] = _square(t[:, :, more])
+    return np.moveaxis(t, (0, 1), (-2, -1)).reshape(shape + (3, 3))
 
 
 def step_matrices(r21, r10, r_repump, dt: float, method: str) -> np.ndarray:
@@ -77,20 +142,18 @@ def step_matrices(r21, r10, r_repump, dt: float, method: str) -> np.ndarray:
     "linear" is I + dt*G with unpinned columns. Its guard is checked on the
     load of the rate maxima: the load rises with every rate, so for one cell
     or a full grid that is the largest cell load. "exact" is exp(dt*G) from
-    one batched expm call, which runs every slice through the same code as
-    a single matrix, so a slice equals the scalar call's bit for bit.
+    expm(), which works cell by cell, so a slice equals the scalar call's
+    bits and every entry is >= 0.
     """
     if dt < 0.0:
         raise ValueError("dt must be >= 0")
+    if method == "exact":
+        return expm(r21, r10, r_repump, dt)
+    if method != "linear":
+        raise ValueError(f"unknown propagation method {method!r}")
     r21, r10, rr = np.broadcast_arrays(
         *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
     )
-    if method == "exact":
-        m = expm(dt * _generators(r21, r10, rr))
-        # expm may round theoretically-zero corners to tiny negatives
-        return np.maximum(m, 0.0, out=m)
-    if method != "linear":
-        raise ValueError(f"unknown propagation method {method!r}")
     load = guard_load(TransitionRates(r21.max(), r10.max(), rr.max()), dt)
     if not load < GUARD_LIMIT:
         raise GuardViolatedError(

@@ -135,7 +135,8 @@ class PhotonCountModel:
     mean_counts are counts/bin for alpha = 0, 1, 2 and must be strictly
     decreasing (more coupled atoms transmit less). family is "poisson" or
     "overdispersed"; the latter is a negative binomial with
-    variance = fano * mean.
+    variance = fano * mean. A fano that is set must be a finite number > 1
+    under either family.
     """
 
     mean_counts: tuple[float, float, float]
@@ -152,9 +153,10 @@ class PhotonCountModel:
             raise ValueError("mean_counts must be strictly decreasing in alpha")
         if self.family not in ("poisson", "overdispersed"):
             raise ValueError(f"unknown count family {self.family!r}")
-        if self.family == "overdispersed":
-            if self.fano is None or not self.fano > 1.0:
-                raise ValueError("overdispersed family requires fano > 1")
+        if self.fano is not None and not 1.0 < self.fano < math.inf:  # NaN too
+            raise ValueError(f"fano must be a finite number > 1, got {self.fano!r}")
+        if self.family == "overdispersed" and self.fano is None:
+            raise ValueError("overdispersed family requires fano > 1")
         if not self.bin_time > 0.0:
             raise ValueError("bin_time must be > 0")
 

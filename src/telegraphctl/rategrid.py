@@ -167,8 +167,8 @@ class _Propagator:
             self.p[:, :, i * slab : (i + 1) * slab] = m.transpose(1, 2, 0)
 
     def apply(self, joint: np.ndarray, out: np.ndarray) -> None:
-        # p >= 0 (guarded linear entries, clamped exact ones) and joint >= 0,
-        # so out >= 0
+        # p >= 0 (guarded linear entries; exact ones sum non-negative terms)
+        # and joint >= 0, so out >= 0
         np.einsum("ijn,jn->in", self.p, joint.reshape(3, -1), out=out.reshape(3, -1))
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 
 from telegraphctl.model import TransitionRates
@@ -34,6 +35,19 @@ def stationary_from_nullspace(gen: np.ndarray) -> np.ndarray:
     b = np.array([0.0, 0.0, 0.0, 1.0])
     p, *_ = np.linalg.lstsq(a, b, rcond=None)
     return p
+
+
+def mp_expm_generator(r21: float, r10: float, rr: float, dt: float) -> np.ndarray:
+    """exp(dt*G) of the belief model's generator at 40 significant digits
+    (mpmath), rounded once to float64; an oracle independent of the
+    float arithmetic under test."""
+    with mpmath.workdps(40):
+        r21, r10, rr, dt = (mpmath.mpf(v) for v in (r21, r10, rr, dt))
+        g = mpmath.matrix(
+            [[-2 * rr, r10, 0], [2 * rr, -r10 - rr, r21], [0, rr, -r21]]
+        )
+        e = mpmath.expm(g * dt)
+        return np.array([[float(e[i, j]) for j in range(3)] for i in range(3)])
 
 
 def splitmix64_finalize(z: int) -> int:

@@ -166,6 +166,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("rates.r21_per_s = -3\n")
 
+    @pytest.mark.parametrize("value", ["nan", "-3", "0.5", "inf"])
+    def test_invalid_fano_rejected_under_poisson(self, value):
+        with pytest.raises(ConfigError, match="fano"):
+            parse_config(f"photon.family = poisson\nphoton.fano = {value}\n")
+
     def test_feedback_defaults(self):
         cfg = feedback_defaults()
         assert cfg.rates.r_repump == 0.0
@@ -260,6 +265,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: line 1: unknown key 'nonsense.key'" in err
         assert "config error: line 2: filter.initial_belief: weights sum" in err
+        bad.write_text("photon.fano = nan\n")
+        assert main(argv) == 1
+        assert "config error: fano must be a finite number > 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "estimate-rates"])
     def test_malformed_trace_exit_2(self, out, tmp_path, capsys, command):

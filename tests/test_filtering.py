@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from telegraphctl.model import (
 )
 from telegraphctl.simulate import SimConfig, run_trace
 
-from oracles import stationary_from_nullspace
+from oracles import mp_expm_generator, stationary_from_nullspace
 
 RATE_SETS = [
     TransitionRates(35.0, 50.0, 59.0),
@@ -81,6 +85,69 @@ def test_exact_step_matrices_match_single_calls(dt):
 def test_exact_step_matrices_reject_negative_dt():
     with pytest.raises(ValueError):
         step_matrices(1.0, 1.0, 1.0, -1e-3, "exact")
+
+
+# (r21, r10, r_repump): the default grid's corners, each rate zero and all
+# three zero, an equal-root cell (rr = 0, r21 = r10: eigenvalues 0, -40,
+# -40) and random cells
+ORACLE_CELLS = (
+    [(a, b, c) for a in (2.0, 150.0) for b in (2.0, 150.0) for c in (2.0, 150.0)]
+    + [(0.0, 50.0, 59.0), (35.0, 0.0, 59.0), (35.0, 50.0, 0.0), (0.0, 0.0, 0.0)]
+    + [(40.0, 40.0, 0.0)]
+    + [tuple(r) for r in np.random.default_rng(8).uniform(0.0, 150.0, (20, 3))]
+)
+
+
+@pytest.mark.parametrize(
+    "dt, rtol",
+    [(1e-4, 1e-13), (1e-3, 1e-13), (1e-2, 1e-13), (0.1, 1e-13), (0.5, 1e-13), (5.0, 1e-12)],
+)
+def test_exact_step_matrices_match_mpmath(dt, rtol):
+    # entrywise relative error against 40 digits, the smallest entries
+    # included; below the normal range (exp(-750) at 5 s) the bound is the
+    # smallest normal float, and true zeros must come out exactly zero
+    tiny = np.finfo(float).tiny
+    r21, r10, rr = np.array(ORACLE_CELLS).T
+    batch = step_matrices(r21, r10, rr, dt, "exact")
+    assert np.all(batch >= 0.0)  # with no clamp in the build
+    for m, cell in zip(batch, ORACLE_CELLS):
+        ref = mp_expm_generator(*cell, dt)
+        err = np.abs(m - ref)
+        normal = ref >= tiny
+        assert np.all(err[normal] <= rtol * ref[normal]), (cell, (err / ref)[normal].max())
+        assert np.all(err[~normal] <= tiny), cell
+        assert np.all(m[ref == 0.0] == 0.0), cell
+
+
+@pytest.mark.parametrize("dt", [1e6, 1e300])
+def test_exact_step_matrices_reach_stationary_at_huge_dt(dt):
+    # about a thousand squarings at 1e300 s: every column must still be the
+    # stationary distribution, not an overflow
+    for rates in RATE_SETS:
+        m = exact_step_matrix(rates, dt)
+        p_inf = stationary_from_nullspace(generator(rates))
+        assert np.allclose(m, p_inf[:, None], rtol=1e-12, atol=0), rates
+
+
+def test_exact_step_matrices_zero_dt_is_identity():
+    r21, r10, rr = np.array(ORACLE_CELLS).T
+    for m in step_matrices(r21, r10, rr, 0.0, "exact"):
+        assert m.tobytes() == np.eye(3).tobytes()
+
+
+def test_import_loads_no_scipy():
+    # the exact propagator is built in-house, so importing the package (and
+    # its CLI) must not pay for scipy
+    code = (
+        "import sys, telegraphctl, telegraphctl.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # step_matrix bits recorded before the linear entries moved into

@@ -95,6 +95,13 @@ class TestPhotonCountModel:
         with pytest.raises(ValueError):
             PhotonCountModel((40.0, 28.0, 16.0), family="overdispersed", fano=1.0)
 
+    @pytest.mark.parametrize("family", ["poisson", "overdispersed"])
+    @pytest.mark.parametrize("fano", [math.nan, -3.0, 0.5, 1.0, math.inf])
+    def test_set_fano_must_be_finite_above_one(self, family, fano):
+        # also under the Poisson family, which ignores the value
+        with pytest.raises(ValueError, match="fano"):
+            PhotonCountModel((40.0, 28.0, 16.0), family=family, fano=fano)
+
     def test_poisson_pmf_matches_scipy(self, default_model):
         for alpha, mean in enumerate(default_model.mean_counts):
             for n in (0, 1, 5, 16, 28, 40, 90):
