@@ -16,6 +16,7 @@ explicit mismatch override is set (robustness experiments only).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -130,6 +131,13 @@ def _number(cast):
 _int, _float = _number(int), _number(float)
 
 
+def _bin_time_ms(text: str, key: str) -> float:
+    value = _float(text, key)
+    if not 0.0 < value < math.inf:  # also false for NaN
+        raise ValueError(f"{key} must be finite and > 0, got {value!r}")
+    return value
+
+
 def _text(text: str, key: str) -> str:
     return text
 
@@ -166,6 +174,7 @@ def _bool(text: str, key: str) -> bool:
 _FORMAT = {
     _int: str,
     _float: repr,
+    _bin_time_ms: repr,
     _text: str,
     _triple: _join,
     _belief: _join,
@@ -177,7 +186,7 @@ _FORMAT = {
 _KEYS = {
     "run.seed": ("seed", _int),
     "run.n_traces": ("n_traces", _int),
-    "sim.bin_time_ms": ("bin_time_ms", _float),
+    "sim.bin_time_ms": ("bin_time_ms", _bin_time_ms),
     "sim.n_bins": ("n_bins", _int),
     "sim.initial_state": ("initial_state", _int),
     "rates.r21_per_s": ("rates.r21", _float),

@@ -20,9 +20,10 @@ run manifest.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # pulse_matrix stays importable from here, next to the policies that use it
 from .filtering import pulse_matrix, pulsed_belief  # noqa: F401
@@ -52,8 +53,7 @@ class ControlPolicy:
                 raise ValueError("fixed transition probabilities must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ControlDecision:
+class ControlDecision(NamedTuple):
     """A pulse (or no-op) together with its predicted effect on the belief.
     A pulse is only issued when it does not increase the distance to the
     target, so distance_after <= distance_before whenever action fires."""
@@ -67,38 +67,16 @@ class ControlDecision:
     def pulse_spec(self) -> Optional[PulseSpec]:
         if self.action == Pulse.NONE:
             return None
-        return PulseSpec(self.action, self.transition_probability)
+        return _pulse_spec(self.action, self.transition_probability)
+
+
+# Built once per (direction, T) and shared: the fixed-T policy fires two.
+_pulse_spec = functools.lru_cache(maxsize=16)(PulseSpec)
 
 
 def kolmogorov_distance(p: Belief, q: Belief) -> float:
     """Total-variation distance 0.5 * sum |p - q|, in [0, 1]."""
     return 0.5 * math.fsum((abs(p.p0 - q.p0), abs(p.p1 - q.p1), abs(p.p2 - q.p2)))
-
-
-def _pulse_quadratics(belief: Belief, direction: Pulse) -> list[tuple[float, float, float]]:
-    """Coefficients (c2, c1, c0) of each post-pulse belief component as a
-    quadratic in the transition probability T."""
-    b0, b1, b2 = belief.as_tuple()
-    if direction == Pulse.REPUMP:
-        return [
-            (b0, -2.0 * b0, b0),
-            (-2.0 * b0, 2.0 * b0 - b1, b1),
-            (b0, b1, b2),
-        ]
-    if direction == Pulse.DEPUMP:
-        return [
-            (b2, b1, b0),
-            (-2.0 * b2, 2.0 * b2 - b1, b1),
-            (b2, -2.0 * b2, b2),
-        ]
-    raise ValueError("direction must be REPUMP or DEPUMP")
-
-
-def _post_pulse_distance(t: float, quads, target: Belief) -> float:
-    total = 0.0
-    for (c2, c1, c0), g in zip(quads, target.as_tuple()):
-        total += abs((c2 * t + c1) * t + c0 - g)
-    return 0.5 * total
 
 
 def optimal_pulse_probability(
@@ -113,29 +91,52 @@ def optimal_pulse_probability(
     kinks (the piece's sign pattern is read at its midpoint). Ties resolve
     to the smallest minimizing T.
     """
-    quads = _pulse_quadratics(belief, direction)
-    g = target.as_tuple()
-    crossings = {0.0, 1.0}
-    for (c2, c1, c0), gi in zip(quads, g):
-        crossings.update(r for r in _quadratic_roots(c2, c1, c0 - gi) if 0.0 < r < 1.0)
-    kinks = sorted(crossings)
-    candidates = list(kinks)
+    # post-pulse component i is (ci2 * T + ci1) * T + ci0
+    b0, b1, b2 = belief
+    if direction == Pulse.REPUMP:
+        c02, c01, c00 = b0, -2.0 * b0, b0
+        c12, c11, c10 = -2.0 * b0, 2.0 * b0 - b1, b1
+        c22, c21, c20 = b0, b1, b2
+    elif direction == Pulse.DEPUMP:
+        c02, c01, c00 = b2, b1, b0
+        c12, c11, c10 = -2.0 * b2, 2.0 * b2 - b1, b1
+        c22, c21, c20 = b2, -2.0 * b2, b2
+    else:
+        raise ValueError("direction must be REPUMP or DEPUMP")
+    g0, g1, g2 = target
+    roots = (
+        _quadratic_roots(c02, c01, c00 - g0)
+        + _quadratic_roots(c12, c11, c10 - g1)
+        + _quadratic_roots(c22, c21, c20 - g2)
+    )
+    # A kink found twice only adds an empty piece and a repeated candidate
+    # with the same distance, so the kinks need no de-duplication.
+    kinks = sorted([0.0, 1.0] + [r for r in roots if 0.0 < r < 1.0])
+    candidates = kinks[:]
     for lo, hi in zip(kinks, kinks[1:]):
         mid = 0.5 * (lo + hi)
-        a2 = a1 = 0.0
-        for (c2, c1, c0), gi in zip(quads, g):
-            s = 1.0 if (c2 * mid + c1) * mid + c0 - gi >= 0.0 else -1.0
-            a2 += s * c2
-            a1 += s * c1
+        s0 = 1.0 if (c02 * mid + c01) * mid + c00 - g0 >= 0.0 else -1.0
+        s1 = 1.0 if (c12 * mid + c11) * mid + c10 - g1 >= 0.0 else -1.0
+        s2 = 1.0 if (c22 * mid + c21) * mid + c20 - g2 >= 0.0 else -1.0
+        a2 = 0.0 + s0 * c02 + s1 * c12 + s2 * c22
+        a1 = 0.0 + s0 * c01 + s1 * c11 + s2 * c21
         if a2 > 0.0:
             v = -a1 / (2.0 * a2)
             if lo < v < hi:
                 candidates.append(v)
     candidates.sort()
-    k_vals = [_post_pulse_distance(t, quads, target) for t in candidates]
-    k_min = min(k_vals)
+    k_vals = [
+        0.5
+        * (
+            abs((c02 * t + c01) * t + c00 - g0)
+            + abs((c12 * t + c11) * t + c10 - g1)
+            + abs((c22 * t + c21) * t + c20 - g2)
+        )
+        for t in candidates
+    ]
+    k_tie = min(k_vals) + _TIE_EPS
     for t, k in zip(candidates, k_vals):
-        if k <= k_min + _TIE_EPS:
+        if k <= k_tie:
             return t, k
     raise AssertionError("unreachable")
 
@@ -158,7 +159,7 @@ def decide_action_simple(belief: Belief, policy: ControlPolicy) -> ControlDecisi
     that would increase the distance to the target is suppressed."""
     if policy.mode != "simple":
         raise ValueError("policy mode must be 'simple'")
-    p0, p1, p2 = belief.as_tuple()
+    p0, p1, p2 = belief
     k_before = kolmogorov_distance(policy.target, belief)
     if p0 > p1 and p0 > p2:
         action, t = Pulse.REPUMP, policy.fixed_t_repump

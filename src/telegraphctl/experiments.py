@@ -45,10 +45,11 @@ class FeedbackController:
         self.decisions: list[ControlDecision] = []
 
     def __call__(self, bin_index: int, photon_count: int) -> Optional[PulseSpec]:
+        config = self.config
         prior = propagate_prior(
-            self.belief, self.config.rates, self.config.bin_time, self.config.propagation
+            self.belief, config.rates, config.bin_time, config.propagation
         )
-        post = posterior_update(prior, photon_count, self.config.photon_model)
+        post = posterior_update(prior, photon_count, config.photon_model)
         decision = decide_action(post, self.policy)
         self.posteriors.append(post)
         self.decisions.append(decision)

@@ -14,6 +14,13 @@ fixed for a run, so each (rates, dt, method) transition matrix and each
 (T, direction) pulse matrix is built once and shared read-only; the
 per-count log-likelihoods come from the memoized table in
 model.log_likelihoods.
+
+The per-bin steps (propagate_prior, posterior_update, pulsed_belief, and
+through them run_filter and trace_log_likelihood) normalize with
+model.normalize_unchecked: normalize's arithmetic without its input
+checks, used only on a cached stochastic matrix times a belief whose
+product is finite and non-negative, and on Bayes weights from a finite
+prior. Anything else still goes through normalize and raises its errors.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .model import (
     TransitionRates,
     log_likelihoods,
     normalize,
+    normalize_unchecked,
     pin_unit_sum,
 )
 
@@ -226,23 +234,34 @@ class FilterConfig:
         transition_matrix(r.r21, r.r10, r.r_repump, self.bin_time, self.propagation)
 
 
-def _bayes_step(prior: Belief, logl: Sequence[float]) -> tuple[Belief, float]:
-    """Log-domain Bayes update: the posterior and the log-evidence
-    log sum_a p(n | a) prior_a of the observation."""
+def _bayes_weights(
+    prior: Belief, logl: Sequence[float]
+) -> tuple[float, float, float, float]:
+    """Log-domain Bayes weights exp(log p(n | a) + log prior_a - m), whose
+    largest is 1.0, and their log scale m."""
     l0, l1, l2 = logl
-    p0, p1, p2 = prior.as_tuple()
+    p0, p1, p2 = prior
     s0 = -math.inf if p0 <= 0.0 or l0 == -math.inf else l0 + math.log(p0)
     s1 = -math.inf if p1 <= 0.0 or l1 == -math.inf else l1 + math.log(p1)
     s2 = -math.inf if p2 <= 0.0 or l2 == -math.inf else l2 + math.log(p2)
     m = max(s0, s1, s2)
     if m == -math.inf:
         raise AllZeroError("observation has zero likelihood under every supported state")
-    weights = (
+    return (
         0.0 if s0 == -math.inf else math.exp(s0 - m),
         0.0 if s1 == -math.inf else math.exp(s1 - m),
         0.0 if s2 == -math.inf else math.exp(s2 - m),
+        m,
     )
-    return normalize(weights), m + math.log(math.fsum(weights))
+
+
+def _posterior(prior: Belief, w0: float, w1: float, w2: float) -> Belief:
+    """The Bayes weights normalized. They lie in [0, 1] unless the prior
+    holds a NaN or an infinity, which normalize then rejects."""
+    p0, p1, p2 = prior
+    if p0 < math.inf and p1 < math.inf and p2 < math.inf:  # false for NaN
+        return normalize_unchecked(w0, w1, w2)
+    return normalize((w0, w1, w2))
 
 
 def posterior_from_log_likelihoods(
@@ -252,12 +271,26 @@ def posterior_from_log_likelihoods(
     extreme counts cannot underflow unless the posterior is genuinely
     all-zero. Equal log-likelihoods reproduce the prior up to roundoff; a
     delta prior is an exact fixed point for any observation."""
-    return _bayes_step(prior, logl)[0]
+    w0, w1, w2, _ = _bayes_weights(prior, logl)
+    return _posterior(prior, w0, w1, w2)
 
 
 def posterior_update(prior: Belief, n: int, model: PhotonCountModel) -> Belief:
     """Bayes update: posterior proportional to p(n | alpha) * prior."""
     return posterior_from_log_likelihoods(prior, log_likelihoods(model, n))
+
+
+def _stochastic_product(m: np.ndarray, belief: Belief) -> Belief:
+    """m @ belief, normalized, for a cached stochastic, non-negative m: the
+    product of a valid belief is finite and >= 0, so it takes
+    normalize_unchecked; any other goes through normalize, which raises.
+    ndarray.dot is the same dgemv, and gives the same bits, as
+    m @ np.asarray(belief); numpy converts a plain tuple faster than the
+    Belief subclass."""
+    w0, w1, w2 = w = m.dot(tuple(belief)).tolist()
+    if 0.0 <= w0 < math.inf and 0.0 <= w1 < math.inf and 0.0 <= w2 < math.inf:
+        return normalize_unchecked(w0, w1, w2)
+    return normalize(w)
 
 
 def propagate_prior(
@@ -275,8 +308,7 @@ def propagate_prior(
     m = transition_matrix(
         float(rates.r21), float(rates.r10), float(rates.r_repump), dt, method
     )
-    p = m @ np.asarray(posterior.as_tuple())
-    return normalize(p)
+    return _stochastic_product(m, posterior)
 
 
 @functools.lru_cache(maxsize=32)
@@ -309,8 +341,8 @@ def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
 def pulsed_belief(belief: Belief, t: float, direction: Pulse) -> Belief:
     """Belief after one pulse, through the cached pulse_matrix(t, direction).
     That matrix is exactly stochastic and non-negative by construction, so
-    nothing is checked and the product needs no clamping."""
-    return normalize(pulse_matrix(t, direction) @ np.asarray(belief.as_tuple()))
+    it is not re-checked and the product needs no clamping."""
+    return _stochastic_product(pulse_matrix(t, direction), belief)
 
 
 def apply_pulse_to_belief(belief: Belief, matrix: np.ndarray) -> Belief:
@@ -373,9 +405,10 @@ def trace_log_likelihood(records: Sequence[TraceRecord], config: FilterConfig) -
         prior = propagate_prior(belief, config.rates, config.bin_time, config.propagation)
         logl = log_likelihoods(config.photon_model, rec.photon_count)
         try:
-            post, log_evidence = _bayes_step(prior, logl)
+            w0, w1, w2, m = _bayes_weights(prior, logl)
         except AllZeroError:
             return -math.inf
-        total += log_evidence
+        post = _posterior(prior, w0, w1, w2)
+        total += m + math.log(math.fsum((w0, w1, w2)))
         belief = _fold_pulse(post, rec.pulse, config)
     return total

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import AllZeroError
 
@@ -67,8 +67,7 @@ def _pinned_triple(w0: float, w1: float, w2: float) -> tuple[float, float, float
     return tuple(pin_unit_sum([w0 / s, w1 / s, w2 / s]))
 
 
-@dataclass(frozen=True)
-class Belief:
+class Belief(NamedTuple):
     """Occupation probabilities (p0, p1, p2) over the three joint states."""
 
     p0: float
@@ -76,14 +75,27 @@ class Belief:
     p2: float
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p0, self.p1, self.p2)
-
-    def __getitem__(self, i: int) -> float:
-        return self.as_tuple()[i]
+        return tuple(self)
 
     def argmax(self) -> int:
-        t = self.as_tuple()
-        return max(STATES, key=t.__getitem__)
+        return max(STATES, key=self.__getitem__)
+
+
+def normalize_unchecked(w0: float, w1: float, w2: float) -> Belief:
+    """normalize's arithmetic without its input checks, for Python floats
+    that are finite and >= 0 by construction: a stochastic matrix times a
+    normalized belief, or Bayes weights. A zero sum still raises
+    AllZeroError."""
+    if math.fsum((w0, w1, w2)) != 1.0:  # _pinned_triple's steps, inlined
+        s = w0 + w1 + w2
+        if s == 0.0:
+            raise AllZeroError("weights sum to zero")
+        w0, w1, w2 = pin_unit_sum([w0 / s, w1 / s, w2 / s])
+    if 0.0 < w0 < _CLAMP or 0.0 < w1 < _CLAMP or 0.0 < w2 < _CLAMP:
+        # Floor denormal-scale components, then renormalize once more.
+        floored = (0.0 if x < _CLAMP else x for x in (w0, w1, w2))
+        return Belief(*_pinned_triple(*floored))
+    return Belief(w0, w1, w2)
 
 
 def normalize(weights: Iterable[float]) -> Belief:
@@ -102,13 +114,7 @@ def normalize(weights: Iterable[float]) -> Belief:
     for x in w:
         if not 0.0 <= x < math.inf:  # also false for NaN
             raise ValueError(f"weights must be finite and >= 0, got {x!r}")
-    if w[0] + w[1] + w[2] == 0.0:
-        raise AllZeroError("weights sum to zero")
-    p = _pinned_triple(*w)
-    if 0.0 < p[0] < _CLAMP or 0.0 < p[1] < _CLAMP or 0.0 < p[2] < _CLAMP:
-        # Floor denormal-scale components, then renormalize once more.
-        p = _pinned_triple(*(0.0 if x < _CLAMP else x for x in p))
-    return Belief(*p)
+    return normalize_unchecked(*w)
 
 
 @dataclass(frozen=True)
@@ -157,8 +163,18 @@ class PhotonCountModel:
             raise ValueError(f"fano must be a finite number > 1, got {self.fano!r}")
         if self.family == "overdispersed" and self.fano is None:
             raise ValueError("overdispersed family requires fano > 1")
-        if not self.bin_time > 0.0:
-            raise ValueError("bin_time must be > 0")
+        if not 0.0 < self.bin_time < math.inf:
+            raise ValueError(f"bin_time must be finite and > 0, got {self.bin_time!r}")
+        # log_likelihoods is memoized per (model, count), so hash once here
+        # rather than in a generated __hash__ on every lookup. Only numbers
+        # go in: str and None hashes vary between processes, and the value
+        # travels with a pickled model.
+        fano = 0.0 if self.fano is None else self.fano
+        key = (m, self.family == "poisson", fano, self.bin_time)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def rescaled(self, bin_time: float) -> "PhotonCountModel":
         """Same count intensity expressed for a different bin length."""
@@ -218,20 +234,32 @@ def log_likelihoods(model: PhotonCountModel, n: int) -> tuple[float, float, floa
     return tuple(model.log_likelihood(n, a) for a in STATES)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One bin of a run. true_state is the hidden state the count was drawn
-    from (before any end-of-bin pulse); None when ground truth is withheld."""
-
+class _TraceRecordFields(NamedTuple):
     bin_index: int
     photon_count: int
     pulse: Pulse = Pulse.NONE
     true_state: Optional[int] = None
 
-    def __post_init__(self):
-        if self.bin_index < 0:
+
+class TraceRecord(_TraceRecordFields):
+    """One bin of a run. true_state is the hidden state the count was drawn
+    from (before any end-of-bin pulse); None when ground truth is withheld.
+    The constructor checks its values; ``TraceRecord._make`` builds a record
+    from values that are valid by construction without checking them."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        bin_index: int,
+        photon_count: int,
+        pulse: Pulse = Pulse.NONE,
+        true_state: Optional[int] = None,
+    ):
+        if bin_index < 0:
             raise ValueError("bin_index must be >= 0")
-        if self.photon_count < 0:
+        if photon_count < 0:
             raise ValueError("photon_count must be >= 0")
-        if self.true_state is not None:
-            check_state(self.true_state)
+        if true_state is not None:
+            check_state(true_state)
+        return super().__new__(cls, bin_index, photon_count, pulse, true_state)

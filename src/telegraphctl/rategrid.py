@@ -285,9 +285,15 @@ def marginal_rates(grid: RateGrid) -> RateMarginals:
     return RateMarginals(**out)
 
 
-def stopping_check(grid: RateGrid, threshold: float = 0.10) -> bool:
-    """True when every rate marginal has rms/mean at or below threshold."""
-    for name, post in marginal_rates(grid).as_dict().items():
+def stopping_check(
+    grid: RateGrid, threshold: float = 0.10, marginals: Optional[RateMarginals] = None
+) -> bool:
+    """True when every rate marginal has rms/mean at or below threshold.
+    ``marginals``, when given, must be marginal_rates(grid); a caller that
+    needs them anyway passes them so they are computed once."""
+    if marginals is None:
+        marginals = marginal_rates(grid)
+    for name, post in marginals.as_dict().items():
         if post.mean == 0.0:
             if post.rms > 0.0:
                 raise ZeroMeanError(f"{name} marginal has zero mean but rms > 0")
@@ -360,20 +366,25 @@ def run_estimation(
     rms_history = []
     snapshots = []
     n_seen = 0
+    m = None  # marginal_rates of the current bin, computed at most once
     try:
         for rec in records:
             _step(prop, joint, buf, model, rec.photon_count)
             joint, buf = buf, joint
             grid.joint = joint
             n_seen += 1
-            if stop_bin is None and stopping_check(grid, stop_threshold):
-                stop_bin = rec.bin_index
-                marginals_at_stop = marginal_rates(grid)
-                states_at_stop = marginal_states(grid)
-                if stop_at_trigger:
-                    break
-            if history_every and n_seen % history_every == 0:
+            m = None
+            if stop_bin is None:
                 m = marginal_rates(grid)
+                if stopping_check(grid, stop_threshold, m):
+                    stop_bin = rec.bin_index
+                    marginals_at_stop = m
+                    states_at_stop = marginal_states(grid)
+                    if stop_at_trigger:
+                        break
+            if history_every and n_seen % history_every == 0:
+                if m is None:
+                    m = marginal_rates(grid)
                 rms_history.append(
                     (rec.bin_index, m.r21.rms, m.r10.rms, m.r_repump.rms)
                 )
@@ -381,7 +392,7 @@ def run_estimation(
                 snapshots.append((rec.bin_index, _axis_marginals(grid)))
     except AllZeroError as exc:
         raise AllZeroError(f"bin {rec.bin_index}: {exc}") from None
-    final_marginals = marginal_rates(grid)
+    final_marginals = marginal_rates(grid) if m is None else m
     final_states = marginal_states(grid)
     return EstimationResult(
         n_bins=n_seen,

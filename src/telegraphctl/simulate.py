@@ -10,15 +10,27 @@ three orders of magnitude shorter than a bin).
 Channel rates out of each state: repumping addresses atoms in the lower
 level (0->1 at 2*r_repump, 1->2 at r_repump), probe decay and depumping
 address atoms in the upper level (2->1 at r21 + 2*r_depump, 1->0 at
-r10 + r_depump).
+r10 + r_depump). The rates are fixed for a run, so the Gillespie step
+reads a per-run channel table (the direct method): per state, the exit
+total and the cumulative channel rates, summed from exit_channels in its
+order, so the draws and their bits do not depend on the table.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .model import PhotonCountModel, Pulse, TraceRecord, TransitionRates, check_state
+from .model import (
+    STATES,
+    PhotonCountModel,
+    Pulse,
+    TraceRecord,
+    TransitionRates,
+    check_state,
+)
 from .rng import PortableRandom
 
 # Controller hook: (bin_index, photon_count) -> pulse to fire at this bin's
@@ -26,18 +38,22 @@ from .rng import PortableRandom
 Controller = Callable[[int, int], Optional["PulseSpec"]]
 
 
-@dataclass(frozen=True)
-class PulseSpec:
-    """One pump pulse: direction and per-atom transition probability."""
-
+class _PulseSpecFields(NamedTuple):
     direction: Pulse
     transition_probability: float
 
-    def __post_init__(self):
-        if self.direction not in (Pulse.REPUMP, Pulse.DEPUMP):
+
+class PulseSpec(_PulseSpecFields):
+    """One pump pulse: direction and per-atom transition probability."""
+
+    __slots__ = ()
+
+    def __new__(cls, direction: Pulse, transition_probability: float):
+        if direction not in (Pulse.REPUMP, Pulse.DEPUMP):
             raise ValueError("pulse direction must be REPUMP or DEPUMP")
-        if not 0.0 <= self.transition_probability <= 1.0:
+        if not 0.0 <= transition_probability <= 1.0:
             raise ValueError("transition_probability must be in [0, 1]")
+        return super().__new__(cls, direction, transition_probability)
 
 
 @dataclass(frozen=True)
@@ -50,8 +66,8 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.bin_time > 0.0:
-            raise ValueError("bin_time must be > 0")
+        if not 0.0 < self.bin_time < math.inf:
+            raise ValueError(f"bin_time must be finite and > 0, got {self.bin_time!r}")
         if self.n_bins <= 0:
             raise ValueError("n_bins must be > 0")
         check_state(self.initial_state)
@@ -91,30 +107,49 @@ def step_continuous_events(
     state: int, rates: TransitionRates, dt: float, rng: PortableRandom
 ) -> tuple[int, list[tuple[float, int]]]:
     """Like step_continuous but also returns the (time, new_state) jump list,
-    with times relative to the start of the interval."""
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
+    with times relative to the start of the interval; dt must be finite."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    check_state(state)
+    totals, channels = _channel_table(
+        rates.r21, rates.r10, rates.r_repump, rates.r_depump
+    )
     t = 0.0
     events: list[tuple[float, int]] = []
-    while True:
-        channels = exit_channels(state, rates)
-        total = sum(r for r, _ in channels)
-        if total == 0.0:
-            break
+    total = totals[state]
+    while total != 0.0:
         t += rng.exponential(total)
         if t >= dt:
             break
         u = rng.uniform() * total
-        acc = 0.0
-        for r, dest in channels:
-            acc += r
+        for acc, dest in channels[state]:
             if u < acc:
-                state = dest
                 break
-        else:  # guard against fp edge u == total
-            state = channels[-1][1]
+        state = dest  # the last channel's on the fp edge u == total
         events.append((t, state))
+        total = totals[state]
     return state, events
+
+
+@functools.lru_cache(maxsize=32)
+def _channel_table(
+    r21: float, r10: float, r_repump: float, r_depump: float
+) -> tuple[tuple[float, ...], tuple[tuple[tuple[float, int], ...], ...]]:
+    """The direct method's table (Gillespie, J. Phys. Chem. 81, 2340
+    (1977)), built once per set of rates: per state, the exit total as sum()
+    adds the rates of exit_channels, and their (cumulative rate,
+    destination) pairs in exit_channels' order."""
+    rates = TransitionRates(r21, r10, r_repump, r_depump)
+    totals, channels = [], []
+    for state in STATES:
+        exits = exit_channels(state, rates)
+        totals.append(sum(r for r, _ in exits))
+        acc, cumulative = 0.0, []
+        for r, dest in exits:
+            acc += r
+            cumulative.append((acc, dest))
+        channels.append(tuple(cumulative))
+    return tuple(totals), tuple(channels)
 
 
 def emit_photons(state: int, model: PhotonCountModel, rng: PortableRandom) -> int:
@@ -133,12 +168,14 @@ def apply_pulse(state: int, pulse: PulseSpec, rng: PortableRandom) -> int:
     check_state(state)
     t = pulse.transition_probability
     if pulse.direction == Pulse.REPUMP:
-        addressable = 2 - state
-        flips = sum(rng.bernoulli(t) for _ in range(addressable))
-        return state + flips
-    addressable = state
-    flips = sum(rng.bernoulli(t) for _ in range(addressable))
-    return state - flips
+        for _ in range(2 - state):
+            if rng.bernoulli(t):
+                state += 1
+        return state
+    for _ in range(state):
+        if rng.bernoulli(t):
+            state -= 1
+    return state
 
 
 @dataclass
@@ -202,14 +239,17 @@ def run_trace_events(
     if config.photon_model.bin_time != config.bin_time:
         raise ValueError("photon model bin_time does not match SimConfig.bin_time")
     rng = PortableRandom(config.rng_seed)
+    rates, bin_time, model = config.rates, config.bin_time, config.photon_model
     state = config.initial_state
-    events = TraceEvents(state, config.n_bins * config.bin_time)
+    events = TraceEvents(state, config.n_bins * bin_time)
+    changes = events.changes
     records = []
     for i in range(config.n_bins):
-        t0 = i * config.bin_time
-        state, jumps = step_continuous_events(state, config.rates, config.bin_time, rng)
-        events.changes.extend((t0 + dt, s) for dt, s in jumps)
-        count = emit_photons(state, config.photon_model, rng)
+        t0 = i * bin_time
+        state, jumps = step_continuous_events(state, rates, bin_time, rng)
+        for dt, s in jumps:
+            changes.append((t0 + dt, s))
+        count = emit_photons(state, model, rng)
         pulse = Pulse.NONE
         emitted_state = state
         if controller is not None:
@@ -218,6 +258,7 @@ def run_trace_events(
                 pulse = spec.direction
                 state = apply_pulse(state, spec, rng)
                 if state != emitted_state:
-                    events.changes.append(((i + 1) * config.bin_time, state))
-        records.append(TraceRecord(i, count, pulse, true_state=emitted_state))
+                    changes.append(((i + 1) * bin_time, state))
+        # every value is valid by construction, so the record skips its checks
+        records.append(TraceRecord._make((i, count, pulse, emitted_state)))
     return records, events

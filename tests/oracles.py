@@ -85,3 +85,29 @@ class ScalarSplitMix64(PortableRandom):
             k += 1
             prod *= self.uniform()
         return k
+
+
+def reference_normalize(weights) -> tuple[float, float, float]:
+    """Normalization to a unit-sum triple written out step by step: an
+    exactly unit fsum is kept, otherwise divide by the plain sum and nudge
+    the largest entry until the fsum is 1.0; components below 1e-300 are
+    then floored to zero and the triple renormalized once more."""
+
+    def pinned(w):
+        if math.fsum(w) == 1.0:
+            return list(w)
+        s = w[0] + w[1] + w[2]
+        p = [x / s for x in w]
+        total = math.fsum(p)
+        i = p.index(max(p))
+        for _ in range(4):
+            if total == 1.0:
+                break
+            p[i] -= total - 1.0
+            total = math.fsum(p)
+        return p
+
+    p = pinned([float(x) for x in weights])
+    if any(0.0 < x < 1e-300 for x in p):
+        p = pinned([0.0 if x < 1e-300 else x for x in p])
+    return tuple(p)

@@ -133,6 +133,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^line 2: {re.escape(key)}"):
             parse_config(f"run.seed = 1\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("propagation", ["linear", "exact"])
+    def test_bin_time_must_be_finite_and_positive(self, propagation, value):
+        text = f"filter.propagation = {propagation}\nsim.bin_time_ms = {value}\n"
+        with pytest.raises(ConfigError, match=r"^line 2: sim\.bin_time_ms must be finite"):
+            parse_config(text)
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nrun.seed = 5  # trailing\n")
         assert cfg.seed == 5
@@ -313,6 +320,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {bad}: line 2: " in err
         assert str(good) not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "feedback"])
+    def test_infinite_bin_time_exit_1(self, out, tmp_path, capsys, command):
+        # rejected before anything is simulated, on the flag and in a file
+        args = [command, "--traces", "1", "--bins", "5", "--out", str(out)]
+        assert main(args + ["--bin-time-ms", "inf"]) == 1
+        assert "sim.bin_time_ms must be finite and > 0, got inf" in capsys.readouterr().err
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("filter.propagation = exact\nsim.bin_time_ms = inf\n")
+        assert main(args + ["--config", str(cfg)]) == 1
+        assert "config error: line 2: sim.bin_time_ms" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_grid_max_is_config_error(self, out, tmp_path):
         sim_out = tmp_path / "sim"

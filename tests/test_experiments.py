@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from telegraphctl import experiments, filtering
+from telegraphctl import experiments, filtering, simulate
 from telegraphctl.config import ExperimentConfig, feedback_defaults
 from telegraphctl.control import ControlPolicy
 from telegraphctl.filtering import FilterConfig, run_filter, trace_log_likelihood
@@ -257,3 +257,33 @@ def test_belief_step_boundaries_called_once_per_bin(monkeypatch):
         "filtering.propagate_prior": n,
         "filtering.posterior_update": n,
     }
+
+
+# perfbench also wraps these simulator attributes for its per-layer spans
+# (simulate.gillespie_us_per_bin, emit_us_per_bin, pulse_us_per_call), so
+# run_trace_events must look each up through the module once per bin, or
+# once per fired pulse.
+SIMULATOR_BOUNDARIES = ["step_continuous_events", "emit_photons", "apply_pulse"]
+
+
+def test_simulator_boundaries_called_once_per_bin(monkeypatch):
+    calls = dict.fromkeys(SIMULATOR_BOUNDARIES, 0)
+    for name in SIMULATOR_BOUNDARIES:
+
+        def counted(*args, _key=name, _original=getattr(simulate, name), **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, name, counted)
+
+    cfg = feedback_defaults()
+    run = run_closed_loop(cfg.sim_config(0), cfg.filter_config(), cfg.control_policy())
+    n = len(run.records)
+    fired = sum(1 for rec in run.records if rec.pulse)
+    assert fired > 0
+    assert calls == {"step_continuous_events": n, "emit_photons": n, "apply_pulse": fired}
+
+    calls.update(dict.fromkeys(calls, 0))
+    records = run_trace(cfg.sim_config(1))
+    n = len(records)
+    assert calls == {"step_continuous_events": n, "emit_photons": n, "apply_pulse": 0}

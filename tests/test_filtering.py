@@ -21,6 +21,7 @@ from telegraphctl.filtering import (
     posterior_from_log_likelihoods,
     posterior_update,
     propagate_prior,
+    pulsed_belief,
     run_filter,
     step_matrices,
     step_matrix,
@@ -266,6 +267,40 @@ class TestPropagatePrior:
                     assert diff < load * load
 
 
+# Invalid beliefs: the product with a cached stochastic matrix is not a
+# valid weight triple, so it goes through normalize and raises its error
+# type (the first gives a negative entry 0 under each matrix below). A
+# Belief has three entries; a plain sequence of another length is rejected
+# by the matrix product.
+INVALID_BELIEFS = [
+    (Belief(-0.5, 0.75, 0.75), ValueError),
+    (Belief(math.nan, 0.5, 0.5), ValueError),
+    (Belief(0.5, math.nan, 0.5), ValueError),
+    (Belief(math.inf, 0.0, 0.0), ValueError),
+    (Belief(0.0, 1.0, math.inf), ValueError),
+    (Belief(0.0, 0.0, 0.0), AllZeroError),
+    ((0.5, 0.5), ValueError),
+    ((0.2, 0.3, 0.4, 0.1), ValueError),
+]
+
+
+@pytest.mark.parametrize("belief, error", INVALID_BELIEFS)
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda b: propagate_prior(b, TransitionRates(35.0, 50.0, 59.0), 1e-3),
+        lambda b: propagate_prior(b, TransitionRates(35.0, 50.0, 59.0), 1e-3, "exact"),
+        lambda b: pulsed_belief(b, 0.4, Pulse.REPUMP),
+        lambda b: pulsed_belief(b, 0.4, Pulse.DEPUMP),
+    ],
+    ids=["linear", "exact", "repump", "depump"],
+)
+def test_invalid_belief_raises_normalize_error(step, belief, error):
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product
+        with pytest.raises(error):
+            step(belief)
+
+
 class TestPosteriorUpdate:
     def test_equal_likelihoods_preserve_prior(self):
         prior = Belief(0.2, 0.5, 0.3)
@@ -299,6 +334,15 @@ class TestPosteriorUpdate:
         model = PhotonCountModel((40.0, 28.0, 0.0))
         with pytest.raises(AllZeroError):
             posterior_update(Belief(0.0, 0.0, 1.0), 4, model)
+
+    @pytest.mark.parametrize(
+        "prior",
+        [Belief(math.nan, 0.5, 0.5), Belief(0.5, math.nan, 0.5), Belief(0.0, 1.0, math.inf)],
+    )
+    def test_non_finite_prior_rejected(self, default_model, prior):
+        # its Bayes weights hold a NaN, which normalize rejects
+        with pytest.raises(ValueError):
+            posterior_update(prior, 28, default_model)
 
     def test_extreme_count_no_underflow(self, default_model):
         post = posterior_update(normalize((1, 1, 1)), 4000, default_model)

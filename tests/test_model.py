@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,10 @@ from telegraphctl.model import (
     likelihood,
     log_likelihoods,
     normalize,
+    normalize_unchecked,
 )
+
+from oracles import reference_normalize
 
 
 def test_state_validation():
@@ -67,6 +71,63 @@ class TestNormalize:
     def test_denormal_weights_recovered(self):
         b = normalize((1e-320, 1e-320, 0.0))
         assert b == Belief(0.5, 0.5, 0.0)
+
+
+def _valid_triples(n: int, seed: int) -> list[list[float]]:
+    """Finite, non-negative weights with a positive sum, a quarter of each
+    kind: plain random triples over many scales, unit-sum triples nudged up
+    to 3 ulp off 1, a component below the 1e-300 clamp (subnormals
+    included), and one or two exact zeros."""
+    rng = np.random.default_rng(seed)
+    w = rng.random((n, 3))
+    kind = rng.integers(0, 4, size=n)
+    col = rng.integers(0, 3, size=n)
+    other = (col + rng.integers(1, 3, size=n)) % 3
+    scaled, nudged, tiny, zeros = (kind == k for k in range(4))
+    w[scaled] *= 10.0 ** rng.uniform(-300.0, 300.0, size=(scaled.sum(), 1))
+    w[nudged] /= w[nudged].sum(axis=1, keepdims=True)
+    steps = rng.integers(-3, 4, size=n)
+    for s in range(3):
+        rows = nudged & (np.abs(steps) > s)
+        w[rows, col[rows]] = np.nextafter(
+            w[rows, col[rows]], np.where(steps[rows] > 0, 2.0, 0.0)
+        )
+    w[tiny, col[tiny]] = rng.choice(
+        [5e-324, 1e-310, 1e-301], size=tiny.sum()
+    ) * rng.uniform(1.0, 9.0, size=tiny.sum())
+    rows = tiny & (rng.random(n) < 0.3) | zeros & (rng.random(n) < 0.5)
+    w[zeros, col[zeros]] = 0.0
+    w[rows, other[rows]] = 0.0
+    return w.tolist()
+
+
+def _bits(values) -> tuple[str, ...]:
+    return tuple(float(x).hex() for x in values)
+
+
+def test_unchecked_normalization_matches_normalize_bitwise():
+    triples = _valid_triples(100_000, seed=11)
+    assert sum(1 for w in triples if 0.0 < min(w) < 1e-300) > 10_000
+    for w in triples:
+        expected = _bits(normalize(w))
+        assert _bits(normalize_unchecked(*w)) == expected, w
+        assert _bits(reference_normalize(w)) == expected, w
+
+
+@pytest.mark.parametrize(
+    "weights, error",
+    [
+        ((1.0, -0.1, 0.0), ValueError),
+        ((math.nan, 0.5, 0.5), ValueError),
+        ((0.0, 1.0, math.inf), ValueError),
+        ((0.0, 0.0, 0.0), AllZeroError),
+        ((0.5, 0.5), ValueError),
+        ((0.2, 0.3, 0.4, 0.1), ValueError),
+    ],
+)
+def test_normalize_error_types(weights, error):
+    with pytest.raises(error):
+        normalize(weights)
 
 
 def test_belief_argmax():
@@ -164,6 +225,25 @@ class TestPhotonCountModel:
     def test_log_likelihoods_helper(self, default_model):
         logl = log_likelihoods(default_model, 16)
         assert logl == tuple(default_model.log_likelihood(16, a) for a in (0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "family, fano", [("poisson", None), ("overdispersed", 2.0)]
+    )
+    def test_equal_models_hash_equal(self, family, fano):
+        a = PhotonCountModel((40.0, 28.0, 16.0), family=family, fano=fano)
+        b = PhotonCountModel((40, 28, 16), family=family, fano=fano)
+        for other in (b, dataclasses.replace(a), dataclasses.replace(b)):
+            assert other == a and hash(other) == hash(a)
+        changed = dataclasses.replace(a, bin_time=2e-3)
+        assert changed != a and hash(changed) != hash(a)
+        assert dataclasses.replace(changed, bin_time=1e-3) == a
+        assert hash(dataclasses.replace(changed, bin_time=1e-3)) == hash(a)
+        assert log_likelihoods(b, 16) is log_likelihoods(a, 16)
+
+    @pytest.mark.parametrize("bin_time", [0.0, -1e-3, math.inf, math.nan])
+    def test_requires_finite_bin_time(self, bin_time):
+        with pytest.raises(ValueError, match="bin_time must be finite and > 0"):
+            PhotonCountModel((40.0, 28.0, 16.0), bin_time=bin_time)
 
     def test_log_likelihoods_memoized(self, default_model):
         assert log_likelihoods(default_model, 16) is log_likelihoods(default_model, 16)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from telegraphctl import rategrid
 from telegraphctl.errors import (
     AllZeroError,
     CapExceededError,
@@ -259,6 +260,52 @@ class TestRunEstimation:
         for rec in records:
             grid = update(grid, rec.photon_count, default_model, 1e-3)
         assert np.array_equal(result.final_grid.joint, grid.joint)
+
+    @pytest.mark.parametrize(
+        "threshold, stop_at_trigger", [(0.0, False), (0.3, False), (0.3, True)]
+    )
+    def test_marginals_computed_once_per_bin(
+        self, monkeypatch, default_model, paper_rates, threshold, stop_at_trigger
+    ):
+        # perfbench stamps every stopping_check return as one bin step and
+        # counts marginal_rates calls per bin; one set of marginals serves a
+        # bin's stop rule, its history row and, on the last bin, the result
+        records = run_trace(SimConfig(paper_rates, default_model, 1e-3, 250, 2, 9))
+        calls = dict.fromkeys(["marginal_rates", "stopping_check"], 0)
+        for name in calls:
+
+            def counted(*args, _key=name, _original=getattr(rategrid, name), **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(rategrid, name, counted)
+        result = run_estimation(
+            records,
+            SMALL_SPEC,
+            default_model,
+            1e-3,
+            stop_threshold=threshold,
+            stop_at_trigger=stop_at_trigger,
+            history_every=100,
+            keep_grid=True,
+        )
+        n = result.n_bins
+        checked = n if result.stop_bin is None else result.stop_bin + 1
+        assert (result.stop_bin, n) == {
+            (0.0, False): (None, 250),
+            (0.3, False): (97, 250),
+            (0.3, True): (97, 98),
+        }[threshold, stop_at_trigger]
+        needed = set(range(checked)) | {k - 1 for k in range(100, n + 1, 100)}
+        assert calls == {
+            "stopping_check": checked,
+            "marginal_rates": len(needed) + (n - 1 not in needed),
+        }
+        if threshold == 0.0:
+            assert calls["marginal_rates"] == n
+        monkeypatch.undo()
+        assert result.final_marginals == marginal_rates(result.final_grid)
+        assert len(result.rms_history) == len(range(100, n + 1, 100))
 
     def test_unknown_method_rejected(self, default_model):
         records = [TraceRecord(0, 30)]

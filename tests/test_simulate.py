@@ -1,9 +1,13 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from telegraphctl.config import ExperimentConfig, feedback_defaults
+from telegraphctl.experiments import run_closed_loop
 from telegraphctl.model import PhotonCountModel, Pulse, TransitionRates
 from telegraphctl.rng import PortableRandom
 from telegraphctl.simulate import (
@@ -17,7 +21,9 @@ from telegraphctl.simulate import (
     run_trace_events,
     states_at_bin_ends,
     step_continuous,
+    step_continuous_events,
 )
+from telegraphctl.traceio import format_trace
 
 from oracles import full_generator, stationary_from_nullspace
 
@@ -242,3 +248,79 @@ def test_run_chain_and_bin_end_states(paper_rates):
             if t <= t_end:
                 state = s
         assert states[i] == state
+
+
+# sha256 of each seed's trace text and exact event times (as hex) for
+# seeds 1, 42 and 777, recorded on the code before the per-run channel
+# table: open loop (1000 bins at the paper's rates) and 300-bin closed
+# loops under both policies, with Poisson and over-dispersed (fano 2)
+# counts. The "pumped" rates add continuous repumping and depumping, so
+# state 1 has two exits and the depump weight enters every channel.
+SIMULATOR_DIGESTS = {
+    "open-poisson": "2d8ea3d846a62cdf5dc0eedb4b7819e34478d84b211021694d8b09a30211d5b9",
+    "open-fano2": "60362fa7054396f4af1d2fbcfb46a7b6ed6e5b387ca4fa16d57b6ff04fb68d5a",
+    "simple-poisson": "d0cbe58ff3fbe74a9354eb7208f24e2e5170bafb01e06b94d24769c75c9beae9",
+    "simple-fano2": "15189ecf2825e634a0eeae15004a9a2cfbe66dc6bd26b69b83169392ed7cae1d",
+    "optimal-poisson": "e80c2ee0c32470bc6bf14bc3ee61a5050dd54029ed8492ad3d3e88b12aa69790",
+    "optimal-fano2": "a03e99844cdeeda96b5128121c4d79b1a37e9400acbca745817d986fec3bbda5",
+    "open-pumped": "38166d165c956df54f6103fb276f59d0cf3746fc0e13f30cc1693bb9478f4b8e",
+    "simple-pumped": "e10fc408acc9e0fe7be344bf184096d9bdefbec478622769480d1844ea10ac8a",
+}
+_FAMILIES = {"poisson": {}, "fano2": {"family": "overdispersed", "fano": 2.0}}
+
+
+@pytest.mark.parametrize("key", sorted(SIMULATOR_DIGESTS))
+def test_simulator_frozen_bits(key):
+    mode, variant = key.split("-")
+    if mode == "open":
+        cfg = replace(ExperimentConfig(), n_bins=1000)
+    else:
+        cfg = replace(feedback_defaults(), policy_mode=mode)
+    if variant == "pumped":
+        cfg = replace(cfg, rates=TransitionRates(35.0, 50.0, 20.0, 15.0))
+    else:
+        cfg = replace(cfg, **_FAMILIES[variant])
+    h = hashlib.sha256()
+    for seed in (1, 42, 777):
+        if mode == "open":
+            records, events = run_trace_events(cfg.sim_config(seed), None)
+        else:
+            run = run_closed_loop(
+                cfg.sim_config(seed), cfg.filter_config(), cfg.control_policy()
+            )
+            records, events = run.records, run.events
+        h.update(format_trace(records).encode())
+        h.update(",".join(f"{t.hex()}:{s}" for t, s in events.changes).encode())
+    assert h.hexdigest() == SIMULATOR_DIGESTS[key]
+
+
+def test_channel_draws_follow_exit_channels_order():
+    # two exits from state 1 (repump up first, then decay plus depump down):
+    # a uniform below the up rate's share goes up, any other goes down
+    rates = TransitionRates(35.0, 50.0, 20.0, 15.0)
+    up, down = exit_channels(1, rates)
+    assert up == (20.0, 2) and down == (65.0, 0)
+    ups = downs = 0
+    rng = PortableRandom(3)
+    for _ in range(20_000):
+        _, jumps = step_continuous_events(1, rates, 1e-3, rng)
+        if jumps:
+            ups += jumps[0][1] == 2
+            downs += jumps[0][1] == 0
+    share = ups / (ups + downs)
+    sigma = math.sqrt(0.25 * 0.75 / (ups + downs))
+    assert abs(share - 20.0 / 85.0) < 4 * sigma
+
+
+# an infinite interval is rejected the same way; it is not run here, since
+# a simulator without the check never returns from it
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+def test_step_rejects_empty_interval(dt, paper_rates):
+    with pytest.raises(ValueError, match="dt must be finite and > 0"):
+        step_continuous_events(2, paper_rates, dt, PortableRandom(1))
+
+
+@pytest.mark.parametrize("bin_time", [0.0, -1e-3, math.inf, math.nan])
+def test_sim_config_requires_finite_bin_time(bin_time, default_model, paper_rates):
+    with pytest.raises(ValueError, match="bin_time must be finite and > 0"):
+        SimConfig(paper_rates, default_model, bin_time, 10)
