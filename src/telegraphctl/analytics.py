@@ -111,13 +111,17 @@ def mean_occupancy(belief_traces: Sequence[Sequence[Belief]]) -> OccupancySummar
     """Component-wise average over every bin of every trace."""
     if not belief_traces or all(len(t) == 0 for t in belief_traces):
         raise EmptyEnsembleError("no beliefs to average")
-    sums = np.zeros(3)
+    # Python floats added in trace order: the same IEEE sums as a numpy
+    # accumulator, without a numpy call per bin
+    s0 = s1 = s2 = 0.0
     n = 0
     for trace in belief_traces:
-        for b in trace:
-            sums += b.as_tuple()
-            n += 1
-    return OccupancySummary(normalize(sums / n), n, len(belief_traces))
+        for b0, b1, b2 in trace:
+            s0 += b0
+            s1 += b1
+            s2 += b2
+        n += len(trace)
+    return OccupancySummary(normalize((s0 / n, s1 / n, s2 / n)), n, len(belief_traces))
 
 
 @dataclass(frozen=True)

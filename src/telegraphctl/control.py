@@ -20,13 +20,12 @@ run manifest.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 # pulse_matrix stays importable from here, next to the policies that use it
-from .filtering import pulse_matrix, pulsed_belief  # noqa: F401
+from .filtering import pulse_matrix, pulsed_belief, pulsed_belief_once  # noqa: F401
 from .model import Belief, Pulse
 from .simulate import PulseSpec
 
@@ -36,6 +35,9 @@ DEFAULT_T_REPUMP = 0.4
 DEFAULT_T_DEPUMP = 0.4
 
 _TIE_EPS = 1e-12
+
+# Read on every bin: a module name is cheaper to look up than an enum member.
+_NONE, _REPUMP, _DEPUMP = Pulse.NONE, Pulse.REPUMP, Pulse.DEPUMP
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,10 @@ class ControlDecision(NamedTuple):
     distance_after: float
 
     def pulse_spec(self) -> Optional[PulseSpec]:
-        if self.action == Pulse.NONE:
+        if self.action == _NONE:
             return None
-        return _pulse_spec(self.action, self.transition_probability)
-
-
-# Built once per (direction, T) and shared: the fixed-T policy fires two.
-_pulse_spec = functools.lru_cache(maxsize=16)(PulseSpec)
+        # a decision's direction and T are valid by construction
+        return PulseSpec._make((self.action, self.transition_probability))
 
 
 def kolmogorov_distance(p: Belief, q: Belief) -> float:
@@ -88,69 +87,82 @@ def optimal_pulse_probability(
     objective is piecewise quadratic with kinks where a component crosses
     its target. The exact candidate set is the endpoints 0 and 1, every kink
     in (0, 1), and the vertex of each convex piece between consecutive
-    kinks (the piece's sign pattern is read at its midpoint). Ties resolve
-    to the smallest minimizing T.
+    kinks (the piece's sign pattern is read at its midpoint). The roots are
+    taken in the cancellation-free form, which keeps the small root
+    accurate when the leading coefficient is tiny. Candidates are produced
+    in increasing T, so ties resolve to the smallest minimizing T.
     """
     # post-pulse component i is (ci2 * T + ci1) * T + ci0
     b0, b1, b2 = belief
-    if direction == Pulse.REPUMP:
+    if direction == _REPUMP:
         c02, c01, c00 = b0, -2.0 * b0, b0
         c12, c11, c10 = -2.0 * b0, 2.0 * b0 - b1, b1
         c22, c21, c20 = b0, b1, b2
-    elif direction == Pulse.DEPUMP:
+    elif direction == _DEPUMP:
         c02, c01, c00 = b2, b1, b0
         c12, c11, c10 = -2.0 * b2, 2.0 * b2 - b1, b1
         c22, c21, c20 = b2, -2.0 * b2, b2
     else:
         raise ValueError("direction must be REPUMP or DEPUMP")
     g0, g1, g2 = target
-    roots = (
-        _quadratic_roots(c02, c01, c00 - g0)
-        + _quadratic_roots(c12, c11, c10 - g1)
-        + _quadratic_roots(c22, c21, c20 - g2)
-    )
-    # A kink found twice only adds an empty piece and a repeated candidate
-    # with the same distance, so the kinks need no de-duplication.
-    kinks = sorted([0.0, 1.0] + [r for r in roots if 0.0 < r < 1.0])
-    candidates = kinks[:]
-    for lo, hi in zip(kinks, kinks[1:]):
-        mid = 0.5 * (lo + hi)
-        s0 = 1.0 if (c02 * mid + c01) * mid + c00 - g0 >= 0.0 else -1.0
-        s1 = 1.0 if (c12 * mid + c11) * mid + c10 - g1 >= 0.0 else -1.0
-        s2 = 1.0 if (c22 * mid + c21) * mid + c20 - g2 >= 0.0 else -1.0
-        a2 = 0.0 + s0 * c02 + s1 * c12 + s2 * c22
-        a1 = 0.0 + s0 * c01 + s1 * c11 + s2 * c21
-        if a2 > 0.0:
-            v = -a1 / (2.0 * a2)
-            if lo < v < hi:
-                candidates.append(v)
-    candidates.sort()
-    k_vals = [
-        0.5
-        * (
-            abs((c02 * t + c01) * t + c00 - g0)
-            + abs((c12 * t + c11) * t + c10 - g1)
-            + abs((c22 * t + c21) * t + c20 - g2)
+    kinks = []  # the roots in (0, 1) of a*T^2 + b*T + c for each component
+    for a, b, c in ((c02, c01, c00 - g0), (c12, c11, c10 - g1), (c22, c21, c20 - g2)):
+        if a == 0.0:
+            if b != 0.0:
+                r = -c / b
+                if 0.0 < r < 1.0:
+                    kinks.append(r)
+            continue
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            if q != 0.0:  # else the only root is 0
+                r = q / a
+                if 0.0 < r < 1.0:
+                    kinks.append(r)
+                r = c / q
+                if 0.0 < r < 1.0:
+                    kinks.append(r)
+    if kinks:
+        kinks.sort()
+        kinks.append(1.0)
+    else:
+        kinks = (1.0,)
+    # Candidates in increasing T: each kink, preceded by the vertex of the
+    # piece it closes. A kink found twice bounds an empty piece, which has
+    # no vertex.
+    ts = [0.0]
+    lo = 0.0
+    for hi in kinks:
+        if lo < hi:
+            mid = 0.5 * (lo + hi)
+            s0 = 1.0 if (c02 * mid + c01) * mid + c00 - g0 >= 0.0 else -1.0
+            s1 = 1.0 if (c12 * mid + c11) * mid + c10 - g1 >= 0.0 else -1.0
+            s2 = 1.0 if (c22 * mid + c21) * mid + c20 - g2 >= 0.0 else -1.0
+            a2 = 0.0 + s0 * c02 + s1 * c12 + s2 * c22
+            if a2 > 0.0:
+                v = -(0.0 + s0 * c01 + s1 * c11 + s2 * c21) / (2.0 * a2)
+                if lo < v < hi:
+                    ts.append(v)
+        ts.append(hi)
+        lo = hi
+    # a loop, not a comprehension: a closure would turn every coefficient
+    # above into a cell variable, slower to read
+    ks = []
+    for t in ts:
+        ks.append(
+            0.5
+            * (
+                abs((c02 * t + c01) * t + c00 - g0)
+                + abs((c12 * t + c11) * t + c10 - g1)
+                + abs((c22 * t + c21) * t + c20 - g2)
+            )
         )
-        for t in candidates
-    ]
-    k_tie = min(k_vals) + _TIE_EPS
-    for t, k in zip(candidates, k_vals):
+    k_tie = min(ks) + _TIE_EPS
+    for t, k in zip(ts, ks):
         if k <= k_tie:
             return t, k
     raise AssertionError("unreachable")
-
-
-def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a*x^2 + b*x + c, in the cancellation-free form that
-    keeps the small root accurate when a is tiny."""
-    if a == 0.0:
-        return [] if b == 0.0 else [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return [q / a, c / q] if q != 0.0 else [0.0]
 
 
 def decide_action_simple(belief: Belief, policy: ControlPolicy) -> ControlDecision:
@@ -162,34 +174,38 @@ def decide_action_simple(belief: Belief, policy: ControlPolicy) -> ControlDecisi
     p0, p1, p2 = belief
     k_before = kolmogorov_distance(policy.target, belief)
     if p0 > p1 and p0 > p2:
-        action, t = Pulse.REPUMP, policy.fixed_t_repump
+        action, t = _REPUMP, policy.fixed_t_repump
     elif p2 > p0 and p2 > p1:
-        action, t = Pulse.DEPUMP, policy.fixed_t_depump
+        action, t = _DEPUMP, policy.fixed_t_depump
     else:
-        return ControlDecision(Pulse.NONE, 0.0, belief, k_before, k_before)
+        return ControlDecision(_NONE, 0.0, belief, k_before, k_before)
     predicted = pulsed_belief(belief, t, action)
     k_after = kolmogorov_distance(policy.target, predicted)
     if k_after > k_before:
-        return ControlDecision(Pulse.NONE, 0.0, belief, k_before, k_before)
+        return ControlDecision(_NONE, 0.0, belief, k_before, k_before)
     return ControlDecision(action, t, predicted, k_before, k_after)
 
 
 def decide_action_optimal(belief: Belief, policy: ControlPolicy) -> ControlDecision:
     """Pick the direction and T that minimize the post-pulse distance to the
-    target; prefer no pulse, then repumping, on exact ties."""
+    target; prefer no pulse, then repumping, on exact ties. T is new on
+    every bin, so its pulse matrix is built uncached."""
     if policy.mode != "optimal":
         raise ValueError("policy mode must be 'optimal'")
-    k_none = kolmogorov_distance(policy.target, belief)
-    t_r, k_r = optimal_pulse_probability(belief, policy.target, Pulse.REPUMP)
-    t_d, k_d = optimal_pulse_probability(belief, policy.target, Pulse.DEPUMP)
+    target = policy.target
+    b0, b1, b2 = belief
+    g0, g1, g2 = target
+    # kolmogorov_distance(target, belief), inline
+    k_none = 0.5 * math.fsum((abs(g0 - b0), abs(g1 - b1), abs(g2 - b2)))
+    t_r, k_r = optimal_pulse_probability(belief, target, _REPUMP)
+    t_d, k_d = optimal_pulse_probability(belief, target, _DEPUMP)
     if k_none <= min(k_r, k_d) + _TIE_EPS:
-        return ControlDecision(Pulse.NONE, 0.0, belief, k_none, k_none)
+        return ControlDecision(_NONE, 0.0, belief, k_none, k_none)
     if k_r <= k_d + _TIE_EPS:
-        action, t, k = Pulse.REPUMP, t_r, k_r
+        action, t, k = _REPUMP, t_r, k_r
     else:
-        action, t, k = Pulse.DEPUMP, t_d, k_d
-    predicted = pulsed_belief(belief, t, action)
-    return ControlDecision(action, t, predicted, k_none, k)
+        action, t, k = _DEPUMP, t_d, k_d
+    return ControlDecision(action, t, pulsed_belief_once(belief, t, action), k_none, k)
 
 
 def decide_action(belief: Belief, policy: ControlPolicy) -> ControlDecision:

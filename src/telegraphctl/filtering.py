@@ -12,15 +12,18 @@ of non-negative terms, scaled and squared, so every entry is computed
 without cancellation. Rates, dt and the pulse transition probabilities are
 fixed for a run, so each (rates, dt, method) transition matrix and each
 (T, direction) pulse matrix is built once and shared read-only; the
-per-count log-likelihoods come from the memoized table in
-model.log_likelihoods.
+optimal policy picks a new T on every bin, so its pulse matrix is built
+afresh (pulsed_belief_once). The per-count log-likelihoods come from the
+memoized table in model.log_likelihoods.
 
 The per-bin steps (propagate_prior, posterior_update, pulsed_belief, and
 through them run_filter and trace_log_likelihood) normalize with
 model.normalize_unchecked: normalize's arithmetic without its input
-checks, used only on a cached stochastic matrix times a belief whose
-product is finite and non-negative, and on Bayes weights from a finite
-prior. Anything else still goes through normalize and raises its errors.
+checks, used only on a stochastic matrix times a finite belief whose
+product is finite and non-negative, and on Bayes weights from a finite,
+non-negative prior. A belief that is not finite raises ValueError, as
+do a negative prior component in the Bayes update and a product that is
+not a valid weight triple.
 """
 
 from __future__ import annotations
@@ -238,12 +241,13 @@ def _bayes_weights(
     prior: Belief, logl: Sequence[float]
 ) -> tuple[float, float, float, float]:
     """Log-domain Bayes weights exp(log p(n | a) + log prior_a - m), whose
-    largest is 1.0, and their log scale m."""
+    largest is 1.0, and their log scale m. A negative prior component
+    raises ValueError."""
     l0, l1, l2 = logl
     p0, p1, p2 = prior
-    s0 = -math.inf if p0 <= 0.0 or l0 == -math.inf else l0 + math.log(p0)
-    s1 = -math.inf if p1 <= 0.0 or l1 == -math.inf else l1 + math.log(p1)
-    s2 = -math.inf if p2 <= 0.0 or l2 == -math.inf else l2 + math.log(p2)
+    s0 = _zero_weight(p0) if p0 <= 0.0 or l0 == -math.inf else l0 + math.log(p0)
+    s1 = _zero_weight(p1) if p1 <= 0.0 or l1 == -math.inf else l1 + math.log(p1)
+    s2 = _zero_weight(p2) if p2 <= 0.0 or l2 == -math.inf else l2 + math.log(p2)
     m = max(s0, s1, s2)
     if m == -math.inf:
         raise AllZeroError("observation has zero likelihood under every supported state")
@@ -253,6 +257,14 @@ def _bayes_weights(
         0.0 if s2 == -math.inf else math.exp(s2 - m),
         m,
     )
+
+
+def _zero_weight(p: float) -> float:
+    """The log weight -inf of a state that the prior or the count rules out;
+    a negative prior component is not a probability, and raises."""
+    if p < 0.0:
+        raise ValueError(f"belief components must be >= 0, got {p!r}")
+    return -math.inf
 
 
 def _posterior(prior: Belief, w0: float, w1: float, w2: float) -> Belief:
@@ -281,13 +293,17 @@ def posterior_update(prior: Belief, n: int, model: PhotonCountModel) -> Belief:
 
 
 def _stochastic_product(m: np.ndarray, belief: Belief) -> Belief:
-    """m @ belief, normalized, for a cached stochastic, non-negative m: the
-    product of a valid belief is finite and >= 0, so it takes
-    normalize_unchecked; any other goes through normalize, which raises.
+    """m @ belief, normalized, for a stochastic, non-negative m: the product
+    of a valid belief is finite and >= 0, so it takes normalize_unchecked;
+    any other goes through normalize, which raises. A belief that is not
+    finite is rejected before the product, where inf * 0 would warn.
     ndarray.dot is the same dgemv, and gives the same bits, as
     m @ np.asarray(belief); numpy converts a plain tuple faster than the
     Belief subclass."""
-    w0, w1, w2 = w = m.dot(tuple(belief)).tolist()
+    b0, b1, b2 = belief
+    if not (math.isfinite(b0) and math.isfinite(b1) and math.isfinite(b2)):
+        raise ValueError(f"belief must be finite, got {tuple(belief)!r}")
+    w0, w1, w2 = w = m.dot((b0, b1, b2)).tolist()
     if 0.0 <= w0 < math.inf and 0.0 <= w1 < math.inf and 0.0 <= w2 < math.inf:
         return normalize_unchecked(w0, w1, w2)
     return normalize(w)
@@ -311,16 +327,16 @@ def propagate_prior(
     return _stochastic_product(m, posterior)
 
 
-@functools.lru_cache(maxsize=32)
-def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
+def build_pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
     """Column-stochastic action of one pulse on a belief vector.
 
     For repumping, column alpha holds the binomial flip distribution of the
     2-alpha addressable lower-level atoms over the reachable states, and the
     top state is absorbing; depumping is the index-reversed mirror. Column
     sums are exactly 1.0 in floating point and entries are non-negative.
-    Built once per (T, direction) and shared read-only; invalid arguments
-    raise on every call, since exceptions are not cached.
+    The matrix is the transpose of a C-ordered array (Fortran order), the
+    layout every pulse product has used. Not cached: pulse_matrix is the
+    cached form, for a T fixed for a run.
     """
     t = transition_probability
     if not 0.0 <= t <= 1.0:
@@ -329,20 +345,34 @@ def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
     col_both = pin_unit_sum([u * u, 2.0 * t * u, t * t])  # two addressable atoms
     col_one = pin_unit_sum([0.0, u, t])  # one addressable atom
     if direction == Pulse.REPUMP:
-        m = np.array([col_both, col_one, [0.0, 0.0, 1.0]]).T
-    elif direction == Pulse.DEPUMP:
-        m = np.array([[1.0, 0.0, 0.0], col_one[::-1], col_both[::-1]]).T
-    else:
-        raise ValueError("direction must be REPUMP or DEPUMP")
+        return np.array([col_both, col_one, [0.0, 0.0, 1.0]]).T
+    if direction == Pulse.DEPUMP:
+        return np.array([[1.0, 0.0, 0.0], col_one[::-1], col_both[::-1]]).T
+    raise ValueError("direction must be REPUMP or DEPUMP")
+
+
+@functools.lru_cache(maxsize=32)
+def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
+    """build_pulse_matrix, built once per (T, direction) and shared
+    read-only; invalid arguments raise on every call, since exceptions are
+    not cached."""
+    m = build_pulse_matrix(transition_probability, direction)
     m.flags.writeable = False
     return m
 
 
 def pulsed_belief(belief: Belief, t: float, direction: Pulse) -> Belief:
-    """Belief after one pulse, through the cached pulse_matrix(t, direction).
-    That matrix is exactly stochastic and non-negative by construction, so
-    it is not re-checked and the product needs no clamping."""
+    """Belief after one pulse of a T fixed for a run, through the cached
+    pulse_matrix(t, direction). That matrix is exactly stochastic and
+    non-negative by construction, so it is not re-checked and the product
+    needs no clamping."""
     return _stochastic_product(pulse_matrix(t, direction), belief)
+
+
+def pulsed_belief_once(belief: Belief, t: float, direction: Pulse) -> Belief:
+    """pulsed_belief for a T chosen afresh on each bin, as the optimal
+    policy's is: the same matrix and bits, built without the cache."""
+    return _stochastic_product(build_pulse_matrix(t, direction), belief)
 
 
 def apply_pulse_to_belief(belief: Belief, matrix: np.ndarray) -> Belief:

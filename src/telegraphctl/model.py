@@ -78,7 +78,12 @@ class Belief(NamedTuple):
         return tuple(self)
 
     def argmax(self) -> int:
-        return max(STATES, key=self.__getitem__)
+        """Index of the largest component, the first on ties, as
+        max(STATES, key=self.__getitem__) picks it."""
+        p0, p1, p2 = self
+        if p1 > p0:
+            return 2 if p2 > p1 else 1
+        return 2 if p2 > p0 else 0
 
 
 def normalize_unchecked(w0: float, w1: float, w2: float) -> Belief:

@@ -157,14 +157,9 @@ class _Propagator:
     p[i, j, cell], with cells in the grid's C order."""
 
     def __init__(self, spec: GridSpec, dt: float, method: str):
-        v21, v10, vr = (spec.axis(n).values() for n in RATE_NAMES)
-        r10, rr = np.meshgrid(v10, vr, indexing="ij")
-        slab = r10.size
-        self.p = np.empty((3, 3, len(v21) * slab))
-        # one r21 slab at a time keeps the transient stack small
-        for i, r21 in enumerate(v21):
-            m = step_matrices(r21, r10, rr, dt, method).reshape(slab, 3, 3)
-            self.p[:, :, i * slab : (i + 1) * slab] = m.transpose(1, 2, 0)
+        rates = np.meshgrid(*(spec.axis(n).values() for n in RATE_NAMES), indexing="ij")
+        m = step_matrices(*rates, dt, method).reshape(-1, 3, 3)
+        self.p = np.ascontiguousarray(m.transpose(1, 2, 0))
 
     def apply(self, joint: np.ndarray, out: np.ndarray) -> None:
         # p >= 0 (guarded linear entries; exact ones sum non-negative terms)

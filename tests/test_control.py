@@ -1,8 +1,12 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import reference_decide_action_optimal, reference_optimal_pulse_probability
+from telegraphctl.config import feedback_defaults
 from telegraphctl.control import (
     ControlPolicy,
     decide_action_optimal,
@@ -11,6 +15,8 @@ from telegraphctl.control import (
     optimal_pulse_probability,
     pulse_matrix,
 )
+from telegraphctl.experiments import run_closed_loop
+from telegraphctl.filtering import build_pulse_matrix
 from telegraphctl.model import Belief, Pulse, normalize
 
 TARGET = Belief(0.0, 1.0, 0.0)
@@ -41,6 +47,27 @@ def near_boundary_cases(n, seed=0):
         assert min(belief.as_tuple()) <= 1e-6
         cases.append((belief, normalize(rng.dirichlet(np.ones(3)))))
     return cases
+
+
+def lattice_beliefs(denominator=8):
+    """Every belief with components in multiples of 1/denominator: point
+    masses, exact zeros, and (as belief and target) quadratics with double
+    roots and with kinks exactly at T = 0 and T = 1."""
+    d = denominator
+    return [
+        Belief(i / d, j / d, (d - i - j) / d)
+        for i in range(d + 1)
+        for j in range(d + 1 - i)
+    ]
+
+
+def hex_bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def decision_bits(d):
+    floats = (d.transition_probability, *d.predicted_belief)
+    return (d.action,) + hex_bits(floats + (d.distance_before, d.distance_after))
 
 
 class TestKolmogorovDistance:
@@ -86,6 +113,22 @@ class TestPulseMatrix:
             [[0.25, 0.0, 0.0], [0.5, 0.5, 0.0], [0.25, 0.5, 1.0]]
         )
         assert np.array_equal(m, expected)
+
+    def test_builder_matches_cached_matrix(self):
+        # the same values, dtype and (Fortran-order) strides, so a product
+        # with either gives the same dgemv bits
+        rng = np.random.default_rng(17)
+        for t in [0.0, 0.4, 0.5, 1.0, *rng.random(50)]:
+            for d in (Pulse.REPUMP, Pulse.DEPUMP):
+                built, cached = build_pulse_matrix(t, d), pulse_matrix(t, d)
+                assert np.array_equal(built, cached)
+                assert built.dtype == cached.dtype == np.float64
+                assert built.strides == cached.strides
+                assert built.flags.f_contiguous and not built.flags.c_contiguous
+                assert built.flags.writeable and not cached.flags.writeable
+        for args in ((1.5, Pulse.REPUMP), (-0.1, Pulse.DEPUMP), (0.4, Pulse.NONE)):
+            with pytest.raises(ValueError):
+                build_pulse_matrix(*args)
 
     def test_cached_matrix_is_read_only(self):
         m = pulse_matrix(0.4, Pulse.REPUMP)
@@ -168,6 +211,54 @@ class TestOptimalPulseProbability:
                 for tt in np.linspace(0, 1, 501):
                     k_tt = 0.5 * np.abs(pulse_matrix(tt, d) @ arr - tgt).sum()
                     assert k_star <= k_tt + 1e-9
+
+
+class TestMatchesReferenceEnumeration:
+    """The minimizer and the optimal policy against the plain enumeration
+    in oracles.py, bit for bit."""
+
+    @staticmethod
+    def random_pairs(n, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(3), size=(n, 2)).tolist()
+        return [(normalize(b), normalize(g)) for b, g in w]
+
+    @staticmethod
+    def assert_minimizer_matches(pairs):
+        for b, g in pairs:
+            for d in (Pulse.REPUMP, Pulse.DEPUMP):
+                got = optimal_pulse_probability(b, g, d)
+                want = reference_optimal_pulse_probability(b, g, d)
+                assert hex_bits(got) == hex_bits(want), (b, g, d)
+
+    @staticmethod
+    def assert_policy_matches(pairs):
+        for b, g in pairs:
+            got = decide_action_optimal(b, ControlPolicy(mode="optimal", target=g))
+            want = reference_decide_action_optimal(b, g)
+            assert decision_bits(got) == decision_bits(want), (b, g)
+
+    def test_random_and_near_boundary_pairs(self):
+        # 100 002 (belief, target) pairs: 25 000 random and 25 001 with a
+        # belief component <= 1e-6, each also swapped
+        pairs = self.random_pairs(25_000, seed=101)
+        pairs += near_boundary_cases(25_000, seed=202)
+        pairs += [(g, b) for b, g in pairs]
+        assert len(pairs) >= 100_000
+        self.assert_minimizer_matches(pairs)
+        self.assert_policy_matches(pairs)
+
+    def test_lattice_pairs(self):
+        # Every ordered pair of 1/8-lattice beliefs. Among them: point
+        # masses and exact zeros; repumping (1, 0, 0) towards (0, 1, 0),
+        # whose first component (1 - T)^2 has a double root at T = 1 and
+        # whose last, T^2, one at T = 0; towards (1/4, 1/2, 1/4), where
+        # three components cross their targets at T = 1/2, one of them as a
+        # double root, so the kink repeats; and pairs sharing a component,
+        # which crosses its target at T = 0.
+        pairs = list(itertools.product(lattice_beliefs(), repeat=2))
+        self.assert_minimizer_matches(pairs)
+        self.assert_policy_matches(pairs)
 
 
 class TestDecideSimple:
@@ -255,3 +346,15 @@ def test_decisions_are_stateless():
     opt_policy = ControlPolicy(mode="optimal")
     first_opt = decide_action_optimal(b, opt_policy)
     assert decide_action_optimal(b, opt_policy) == first_opt
+
+
+def test_optimal_closed_loop_leaves_pulse_cache_alone():
+    # the optimal policy's T is new on every bin, so its pulse matrices are
+    # built uncached: a run neither reads nor fills pulse_matrix's cache
+    cfg = replace(feedback_defaults(), policy_mode="optimal")
+    before = pulse_matrix.cache_info()
+    run = run_closed_loop(
+        replace(cfg.sim_config(), n_bins=200), cfg.filter_config(), cfg.control_policy()
+    )
+    assert any(d.action != Pulse.NONE for d in run.decisions)
+    assert pulse_matrix.cache_info() == before

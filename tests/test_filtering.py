@@ -267,11 +267,13 @@ class TestPropagatePrior:
                     assert diff < load * load
 
 
-# Invalid beliefs: the product with a cached stochastic matrix is not a
-# valid weight triple, so it goes through normalize and raises its error
-# type (the first gives a negative entry 0 under each matrix below). A
-# Belief has three entries; a plain sequence of another length is rejected
-# by the matrix product.
+# Invalid beliefs: a non-finite one is rejected before the product with a
+# cached stochastic matrix, so inf * 0 cannot warn; the product of a
+# negative one is not a valid weight triple, so it goes through normalize
+# and raises its error type (it gives a negative entry 0 under each matrix
+# below). The Bayes update rejects a negative component as it weighs it,
+# and the weights of a non-finite one through normalize. A Belief has three
+# entries; a plain sequence of another length does not unpack into one.
 INVALID_BELIEFS = [
     (Belief(-0.5, 0.75, 0.75), ValueError),
     (Belief(math.nan, 0.5, 0.5), ValueError),
@@ -292,13 +294,13 @@ INVALID_BELIEFS = [
         lambda b: propagate_prior(b, TransitionRates(35.0, 50.0, 59.0), 1e-3, "exact"),
         lambda b: pulsed_belief(b, 0.4, Pulse.REPUMP),
         lambda b: pulsed_belief(b, 0.4, Pulse.DEPUMP),
+        lambda b: posterior_update(b, 28, PhotonCountModel((40.0, 28.0, 16.0))),
     ],
-    ids=["linear", "exact", "repump", "depump"],
+    ids=["linear", "exact", "repump", "depump", "posterior"],
 )
 def test_invalid_belief_raises_normalize_error(step, belief, error):
-    with np.errstate(invalid="ignore"):  # inf * 0 in the product
-        with pytest.raises(error):
-            step(belief)
+    with pytest.raises(error):
+        step(belief)
 
 
 class TestPosteriorUpdate:

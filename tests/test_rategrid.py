@@ -366,7 +366,7 @@ class TestExactPropagator:
     )
     @pytest.mark.parametrize("dt", [0.0, 0.3e-3, 1e-3, 10e-3])
     def test_matches_per_cell_exact_step_matrix(self, spec, dt, method):
-        # the slab-by-slab build must give every cell exactly the bits of a
+        # the one batched build must give every cell exactly the bits of a
         # single scalar step_matrices call (unpinned in the linear mode)
         top = TransitionRates(spec.r21.max, spec.r10.max, spec.r_repump.max)
         if method == "linear" and guard_load(top, dt) >= GUARD_LIMIT:
