@@ -50,6 +50,9 @@ from .model import (
 
 GUARD_LIMIT = 0.5
 
+# Read on every pulse: a module name is cheaper to look up than an enum member.
+_NONE, _REPUMP, _DEPUMP = Pulse.NONE, Pulse.REPUMP, Pulse.DEPUMP
+
 
 def generator(rates: TransitionRates) -> np.ndarray:
     """Rate-equation generator G acting on column vectors (p0, p1, p2).
@@ -344,9 +347,9 @@ def build_pulse_matrix(transition_probability: float, direction: Pulse) -> np.nd
     u = 1.0 - t
     col_both = pin_unit_sum([u * u, 2.0 * t * u, t * t])  # two addressable atoms
     col_one = pin_unit_sum([0.0, u, t])  # one addressable atom
-    if direction == Pulse.REPUMP:
+    if direction == _REPUMP:
         return np.array([col_both, col_one, [0.0, 0.0, 1.0]]).T
-    if direction == Pulse.DEPUMP:
+    if direction == _DEPUMP:
         return np.array([[1.0, 0.0, 0.0], col_one[::-1], col_both[::-1]]).T
     raise ValueError("direction must be REPUMP or DEPUMP")
 
@@ -415,9 +418,9 @@ def run_filter(records: Sequence[TraceRecord], config: FilterConfig) -> list[Bel
 
 
 def _fold_pulse(post: Belief, pulse: Pulse, config: FilterConfig) -> Belief:
-    if pulse == Pulse.NONE:
+    if pulse == _NONE:
         return post
-    t = config.repump_t if pulse == Pulse.REPUMP else config.depump_t
+    t = config.repump_t if pulse == _REPUMP else config.depump_t
     if t is None:
         raise ValueError(
             "trace carries pulse events but FilterConfig does not define the "

@@ -11,11 +11,15 @@ log domain and the grid is renormalized every bin, so thousands of
 multiplicative updates cannot underflow.
 
 Both methods share one propagator: every cell's matrix from
-filtering.step_matrices, stored flat as (3, 3, cells). Per bin that makes a
-few passes over the grid: one einsum over the propagator, one per-state
-sum, one scale of each state slab by w_alpha / total. The stopping rule's
-marginals cost two gemvs over the grid; the moments come from cached
-per-axis rows (v, v*v).
+filtering.step_matrices, stored flat as (3, 3, cells). Per bin that makes
+three passes over the grid: one einsum over the propagator, one gemv for
+the (alpha, r21) row sums of the propagated grid, and one scale of each
+state slab by w_alpha / total. Weighted by w and summed over alpha, the
+row sums are the r21 marginal, and their sum is the total. The stopping
+rule checks r21 first; r10 and r_repump take one more gemv, made only on
+bins that need them: where r21 passes the threshold, and on history,
+snapshot and stop bins. The moments come from cached per-axis rows
+(v, v*v).
 
 Rates are estimated in the open-loop weak-repumping regime (no continuous
 depumping), so the grid spans (r21, r10, r_repump) only.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -124,22 +128,22 @@ class RateGrid:
         return float(self.joint.sum())
 
 
-@dataclass(frozen=True)
-class RatePosterior:
+class RatePosterior(NamedTuple):
     """Marginal summary for one rate: expectation and rms spread (1/s)."""
 
     mean: float
     rms: float
 
 
-@dataclass(frozen=True)
-class RateMarginals:
+class RateMarginals(NamedTuple):
+    """Posterior of every rate, in RATE_NAMES order."""
+
     r21: RatePosterior
     r10: RatePosterior
     r_repump: RatePosterior
 
     def as_dict(self) -> dict[str, RatePosterior]:
-        return {"r21": self.r21, "r10": self.r10, "r_repump": self.r_repump}
+        return self._asdict()
 
 
 def init_flat(spec: GridSpec, initial_states: Belief) -> RateGrid:
@@ -188,24 +192,51 @@ def _bayes_weights(model: PhotonCountModel, n: int) -> np.ndarray:
 _TINY = np.finfo(float).tiny
 
 
+@functools.lru_cache(maxsize=16)
+def _ones(n: int) -> np.ndarray:
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
+def _row_sums(joint: np.ndarray) -> np.ndarray:
+    """(alpha, r21) row sums of the grid, shape (3, n21), from one gemv over
+    its (alpha * r21, r10 * r_repump) view."""
+    rows = joint.reshape(3 * joint.shape[1], -1)
+    return (rows @ _ones(rows.shape[1])).reshape(3, -1)
+
+
+def _other_marginals(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized 1-D marginals of r10 and r_repump from one gemv over the
+    (alpha * r21, r10 * r_repump) view of the grid; no intermediate has more
+    than n10 * nr entries."""
+    _, n21, n10, nr = joint.shape
+    rest = (_ones(3 * n21) @ joint.reshape(3 * n21, n10 * nr)).reshape(n10, nr)
+    return rest @ _ones(nr), _ones(n10) @ rest
+
+
 def _step(
     prop, joint: np.ndarray, out: np.ndarray, model: PhotonCountModel, n: int
-) -> None:
+) -> np.ndarray:
     """One generalized Bayes step into ``out``: per-cell prior propagation,
-    reweighting by p(n | alpha), renormalization of the whole grid."""
+    reweighting by p(n | alpha), renormalization of the whole grid. Returns
+    the new grid's unnormalized r21 marginal: the weighted (alpha, r21) row
+    sums of the propagated grid, whose sum is the renormalization total."""
     prop.apply(joint, out)
     w = _bayes_weights(model, n)
+    m21 = w @ _row_sums(out)
+    total = m21 @ _ones(m21.shape[0])
     slabs = out.reshape(3, -1)
-    total = w @ slabs.sum(axis=1)
     if total >= _TINY:
         slabs *= (w / total)[:, None]
-        return
+        return m21
     # a subnormal total would overflow w / total: weight first, then divide
     slabs *= w[:, None]
     total = slabs.sum()
     if total <= 0.0:
         raise AllZeroError("grid mass underflowed to zero")
     slabs /= total
+    return _ones(3) @ _row_sums(out)
 
 
 def update(
@@ -228,13 +259,6 @@ def marginal_states(grid: RateGrid) -> Belief:
 
 
 @functools.lru_cache(maxsize=16)
-def _ones(n: int) -> np.ndarray:
-    ones = np.ones(n)
-    ones.flags.writeable = False
-    return ones
-
-
-@functools.lru_cache(maxsize=16)
 def _moment_rows(axis: GridAxis) -> np.ndarray:
     """Rows (v, v*v) of the axis values: ``rows @ p`` gives a normalized
     marginal's mean and second moment."""
@@ -244,18 +268,6 @@ def _moment_rows(axis: GridAxis) -> np.ndarray:
     return rows
 
 
-def _rate_marginals(joint: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Unnormalized 1-D marginals of r21, r10 and r_repump from two gemvs
-    over the (alpha * r21, r10 * r_repump) view of the grid; every
-    intermediate has at most n10 * nr entries, so no grid-sized temporary
-    is allocated per call."""
-    _, n21, n10, nr = joint.shape
-    rows = joint.reshape(3 * n21, n10 * nr)
-    by_r21 = (rows @ _ones(n10 * nr)).reshape(3, n21)
-    rest = (_ones(3 * n21) @ rows).reshape(n10, nr)
-    return _ones(3) @ by_r21, rest @ _ones(nr), _ones(n10) @ rest
-
-
 def _normalized(marg: np.ndarray) -> np.ndarray:
     total = marg.sum()
     if total <= 0.0:
@@ -263,32 +275,65 @@ def _normalized(marg: np.ndarray) -> np.ndarray:
     return marg / total
 
 
-def _axis_marginals(grid: RateGrid) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Axis values and normalized 1-D marginal of every rate."""
-    return {
-        name: (grid.spec.axis(name).values(), _normalized(marg))
-        for name, marg in zip(RATE_NAMES, _rate_marginals(grid.joint))
-    }
+def _posterior(axis: GridAxis, marg: np.ndarray) -> RatePosterior:
+    """Expectation and rms of one rate's unnormalized 1-D marginal. It is
+    normalized first, so a single-point axis reads back its rate and rms 0
+    exactly, whatever its total mass."""
+    mean, second = (_moment_rows(axis) @ _normalized(marg)).tolist()
+    return RatePosterior(mean, math.sqrt(max(second - mean * mean, 0.0)))
 
 
 def marginal_rates(grid: RateGrid) -> RateMarginals:
     """Expectation and rms of each rate's 1-D marginal."""
-    out = {}
-    for name, marg in zip(RATE_NAMES, _rate_marginals(grid.joint)):
-        mean, second = (_moment_rows(grid.spec.axis(name)) @ _normalized(marg)).tolist()
-        out[name] = RatePosterior(mean, math.sqrt(max(second - mean * mean, 0.0)))
-    return RateMarginals(**out)
+    joint, spec = grid.joint, grid.spec
+    margs = (_ones(3) @ _row_sums(joint), *_other_marginals(joint))
+    return RateMarginals._make(
+        _posterior(spec.axis(name), m) for name, m in zip(RATE_NAMES, margs)
+    )
+
+
+class _BinMarginals:
+    """The rate posteriors of the bin just stepped, iterated in RATE_NAMES
+    order. r21's marginal comes from the step itself; r10's and r_repump's
+    take one more pass over the grid, made when first read and kept."""
+
+    __slots__ = ("spec", "joint", "m21", "rest")
+
+    def __init__(self, spec: GridSpec, joint: np.ndarray, m21: np.ndarray):
+        self.spec, self.joint, self.m21, self.rest = spec, joint, m21, None
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        if self.rest is None:
+            self.rest = _other_marginals(self.joint)
+        return (self.m21, *self.rest)
+
+    def __iter__(self):
+        yield _posterior(self.spec.r21, self.m21)
+        _, m10, mr = self.arrays()
+        yield _posterior(self.spec.r10, m10)
+        yield _posterior(self.spec.r_repump, mr)
+
+    def axis_marginals(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Axis values and normalized 1-D marginal of every rate."""
+        return {
+            name: (self.spec.axis(name).values(), _normalized(m))
+            for name, m in zip(RATE_NAMES, self.arrays())
+        }
 
 
 def stopping_check(
-    grid: RateGrid, threshold: float = 0.10, marginals: Optional[RateMarginals] = None
+    grid: RateGrid,
+    threshold: float = 0.10,
+    marginals: Optional[Iterable[RatePosterior]] = None,
 ) -> bool:
     """True when every rate marginal has rms/mean at or below threshold.
-    ``marginals``, when given, must be marginal_rates(grid); a caller that
-    needs them anyway passes them so they are computed once."""
+    The rates are checked in RATE_NAMES order and the check ends at the
+    first that fails. ``marginals``, when given, are the grid's posteriors
+    in that order (a RateMarginals, or an iterable that computes each as it
+    is read); by default marginal_rates(grid)."""
     if marginals is None:
         marginals = marginal_rates(grid)
-    for name, post in marginals.as_dict().items():
+    for name, post in zip(RATE_NAMES, marginals):
         if post.mean == 0.0:
             if post.rms > 0.0:
                 raise ZeroMeanError(f"{name} marginal has zero mean but rms > 0")
@@ -361,33 +406,27 @@ def run_estimation(
     rms_history = []
     snapshots = []
     n_seen = 0
-    m = None  # marginal_rates of the current bin, computed at most once
     try:
         for rec in records:
-            _step(prop, joint, buf, model, rec.photon_count)
+            m21 = _step(prop, joint, buf, model, rec.photon_count)
             joint, buf = buf, joint
             grid.joint = joint
             n_seen += 1
-            m = None
-            if stop_bin is None:
-                m = marginal_rates(grid)
-                if stopping_check(grid, stop_threshold, m):
-                    stop_bin = rec.bin_index
-                    marginals_at_stop = m
-                    states_at_stop = marginal_states(grid)
-                    if stop_at_trigger:
-                        break
+            marg = _BinMarginals(spec, joint, m21)
+            if stop_bin is None and stopping_check(grid, stop_threshold, marg):
+                stop_bin = rec.bin_index
+                marginals_at_stop = RateMarginals._make(marg)
+                states_at_stop = marginal_states(grid)
+                if stop_at_trigger:
+                    break
             if history_every and n_seen % history_every == 0:
-                if m is None:
-                    m = marginal_rates(grid)
-                rms_history.append(
-                    (rec.bin_index, m.r21.rms, m.r10.rms, m.r_repump.rms)
-                )
+                r21, r10, rr = marg
+                rms_history.append((rec.bin_index, r21.rms, r10.rms, rr.rms))
             if snapshot_every and n_seen % snapshot_every == 0:
-                snapshots.append((rec.bin_index, _axis_marginals(grid)))
+                snapshots.append((rec.bin_index, marg.axis_marginals()))
     except AllZeroError as exc:
         raise AllZeroError(f"bin {rec.bin_index}: {exc}") from None
-    final_marginals = marginal_rates(grid) if m is None else m
+    final_marginals = marginal_rates(grid)
     final_states = marginal_states(grid)
     return EstimationResult(
         n_bins=n_seen,

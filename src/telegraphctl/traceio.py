@@ -17,9 +17,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import TraceFormatError
-from .model import Pulse, TraceRecord
+from .model import Pulse, TraceRecord, check_state
 
 TRACE_HEADER = "bin_index,photon_count,pulse,true_state"
+_PULSES = {int(p): p for p in Pulse}
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:
@@ -44,23 +45,25 @@ def parse_trace(text: str) -> list[TraceRecord]:
             f"line {lineno}: trace file must start with header {TRACE_HEADER!r}"
         )
     records = []
+    append, make = records.append, TraceRecord._make
     prev_index = -1
     for lineno, ln in lines[1:]:
+        # the checks and messages of int(), Pulse() and TraceRecord(), in
+        # their order; idx > prev_index >= -1 already makes idx >= 0
         try:
             parts = ln.split(",")
             if len(parts) != 4:
                 raise ValueError("expected 4 comma-separated fields")
-            idx, count, pulse, true_state = (int(p) for p in parts)
+            idx, count, pulse, true_state = map(int, parts)
             if idx <= prev_index:
                 raise ValueError("bin_index must be strictly increasing")
-            records.append(
-                TraceRecord(
-                    idx,
-                    count,
-                    Pulse(pulse),
-                    true_state=None if true_state == -1 else true_state,
-                )
-            )
+            direction = _PULSES.get(pulse)
+            if direction is None:
+                raise ValueError(f"{pulse!r} is not a valid Pulse")
+            if count < 0:
+                raise ValueError("photon_count must be >= 0")
+            ts = None if true_state == -1 else check_state(true_state)
+            append(make((idx, count, direction, ts)))
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from None
         prev_index = idx

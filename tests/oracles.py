@@ -6,9 +6,20 @@ import mpmath
 import numpy as np
 
 from telegraphctl.control import ControlDecision, kolmogorov_distance
+from telegraphctl.errors import AllZeroError, TraceFormatError
 from telegraphctl.filtering import pulsed_belief
-from telegraphctl.model import Belief, Pulse, TransitionRates
+from telegraphctl.model import Belief, Pulse, TraceRecord, TransitionRates
+from telegraphctl.rategrid import (
+    RATE_NAMES,
+    RateGrid,
+    RateMarginals,
+    RatePosterior,
+    _bayes_weights,
+    _propagator,
+    init_flat,
+)
 from telegraphctl.rng import PortableRandom
+from telegraphctl.traceio import TRACE_HEADER
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -199,3 +210,97 @@ def reference_decide_action_optimal(belief: Belief, target: Belief) -> ControlDe
     else:
         action, t, k = Pulse.DEPUMP, t_d, k_d
     return ControlDecision(action, t, pulsed_belief(belief, t, action), k_none, k)
+
+
+def reference_parse_trace(text: str) -> list[TraceRecord]:
+    """Trace parsing through the checking constructors: an ``int`` call per
+    field, the ``Pulse`` enum call and the checking ``TraceRecord``; any
+    ValueError becomes a TraceFormatError naming the line."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != TRACE_HEADER:
+        lineno = lines[0][0] if lines else 1
+        raise TraceFormatError(
+            f"line {lineno}: trace file must start with header {TRACE_HEADER!r}"
+        )
+    records = []
+    prev_index = -1
+    for lineno, ln in lines[1:]:
+        try:
+            parts = ln.split(",")
+            if len(parts) != 4:
+                raise ValueError("expected 4 comma-separated fields")
+            idx, count, pulse, true_state = (int(p) for p in parts)
+            if idx <= prev_index:
+                raise ValueError("bin_index must be strictly increasing")
+            records.append(
+                TraceRecord(
+                    idx,
+                    count,
+                    Pulse(pulse),
+                    true_state=None if true_state == -1 else true_state,
+                )
+            )
+        except ValueError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
+        prev_index = idx
+    return records
+
+
+def reference_grid_step(prop, joint: np.ndarray, out: np.ndarray, model, n: int) -> None:
+    """The grid step in separate passes: the propagation einsum, one
+    per-state sum, one scale by w / total (or, for a subnormal total,
+    weight first and then divide)."""
+    prop.apply(joint, out)
+    w = _bayes_weights(model, n)
+    slabs = out.reshape(3, -1)
+    total = w @ slabs.sum(axis=1)
+    if total >= np.finfo(float).tiny:
+        slabs *= (w / total)[:, None]
+        return
+    slabs *= w[:, None]
+    total = slabs.sum()
+    if total <= 0.0:
+        raise AllZeroError("grid mass underflowed to zero")
+    slabs /= total
+
+
+def reference_marginal_rates(grid: RateGrid) -> RateMarginals:
+    """Mean and rms of each rate from two gemvs over the whole grid, with
+    each 1-D marginal normalized before its moments."""
+    _, n21, n10, nr = grid.joint.shape
+    rows = grid.joint.reshape(3 * n21, n10 * nr)
+    by_r21 = (rows @ np.ones(n10 * nr)).reshape(3, n21)
+    rest = (np.ones(3 * n21) @ rows).reshape(n10, nr)
+    out = []
+    for name, marg in zip(
+        RATE_NAMES, (np.ones(3) @ by_r21, rest @ np.ones(nr), np.ones(n10) @ rest)
+    ):
+        v = grid.spec.axis(name).values()
+        p = marg / marg.sum()
+        mean, second = (np.array([v, v * v]) @ p).tolist()
+        out.append(RatePosterior(mean, math.sqrt(max(second - mean * mean, 0.0))))
+    return RateMarginals(*out)
+
+
+def reference_run_estimation(
+    records, spec, model, dt, method, stop_threshold=0.10, history_every=100
+):
+    """(stop_bin, marginals at the stop, rms history, final joint, every
+    bin's marginals) from the separate-pass step, with all three marginals
+    computed from the whole grid on every bin and the stop rule read from
+    them; every axis must have a positive mean."""
+    prop = _propagator(spec, dt, method)
+    grid = init_flat(spec, Belief(0.0, 0.0, 1.0))
+    stop_bin = at_stop = None
+    history, per_bin = [], []
+    for k, rec in enumerate(records, start=1):
+        out = np.empty_like(grid.joint)
+        reference_grid_step(prop, grid.joint, out, model, rec.photon_count)
+        grid = RateGrid(spec, out)
+        m = reference_marginal_rates(grid)
+        per_bin.append(m)
+        if stop_bin is None and all(p.rms / p.mean <= stop_threshold for p in m):
+            stop_bin, at_stop = rec.bin_index, m
+        if k % history_every == 0:
+            history.append((rec.bin_index, m.r21.rms, m.r10.rms, m.r_repump.rms))
+    return stop_bin, at_stop, history, grid.joint, per_bin

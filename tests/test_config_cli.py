@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reference_parse_trace
 from telegraphctl.cli import main
 from telegraphctl.config import (
     ExperimentConfig,
@@ -223,6 +224,63 @@ class TestTraceIO:
             parse_trace(text)
         assert isinstance(caught.value, ValueError)
 
+    def test_parse_matches_reference_on_valid_traces(self):
+        from telegraphctl.experiments import FeedbackController
+        from telegraphctl.simulate import run_trace
+
+        golden = (Path(__file__).parent / "data" / "golden_trace_seed42.csv").read_text()
+        cfg = feedback_defaults()
+        controller = FeedbackController(cfg.filter_config(), cfg.control_policy())
+        pulsed = run_trace(cfg.sim_config(5), controller)
+        assert any(r.pulse for r in pulsed)
+        withheld = [r._replace(true_state=None) for r in pulsed[:50]]
+        # int() accepts signs, padding and digit separators; blank lines skip
+        quirky = (
+            "bin_index,photon_count,pulse,true_state\n\n 0,+5, 1 ,-1\n"
+            "\t\n1_0,0_7,2,0\r\n11,٣,0,2\n"
+        )
+        for text in (golden, format_trace(pulsed), format_trace(withheld), quirky):
+            records = parse_trace(text)
+            assert records == reference_parse_trace(text)
+            assert [type(r.pulse) for r in records] == [Pulse] * len(records)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1,5,0",
+            "1,5,0,1,",
+            ",,,",
+            "1,x,0,1",
+            "1,5.0,0,1",
+            "1,5,,1",
+            "1,5,3,1",
+            "1,5,-1,1",
+            "1,5,7,x",
+            "-1,5,0,1",
+            "0,5,0,1",
+            "1,-5,0,1",
+            "1,-5,9,7",
+            "1,5,0,3",
+            "1,5,0,-2",
+            "1,-5,0,3",
+        ],
+    )
+    def test_parse_errors_match_reference(self, line):
+        # each message and line number is the checking constructors', on a
+        # later line and on the first record (where -1 is not increasing)
+        header = "bin_index,photon_count,pulse,true_state"
+        later, first = f"{header}\n0,1,0,2\n\n{line}\n", f"{header}\n{line}\n"
+        assert isinstance(_parse_outcome(reference_parse_trace, later), str)
+        for text in (later, first):
+            expected = _parse_outcome(reference_parse_trace, text)
+            assert _parse_outcome(parse_trace, text) == expected
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "0,1,0,2\n", "  \nbin_index,pulse\n"])
+    def test_missing_header_matches_reference(self, text):
+        expected = _parse_outcome(reference_parse_trace, text)
+        assert isinstance(expected, str)
+        assert _parse_outcome(parse_trace, text) == expected
+
     def test_golden_trace_regeneration(self, default_model, paper_rates):
         # committed golden file guards cross-version trace stability
         from telegraphctl.simulate import SimConfig, run_trace
@@ -231,6 +289,14 @@ class TestTraceIO:
         text = format_trace(run_trace(config))
         golden = Path(__file__).parent / "data" / "golden_trace_seed42.csv"
         assert text == golden.read_text(encoding="utf-8")
+
+
+def _parse_outcome(parse, text):
+    """The records, or the TraceFormatError message."""
+    try:
+        return parse(text)
+    except TraceFormatError as exc:
+        return str(exc)
 
 
 @pytest.fixture()

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import reference_marginal_rates, reference_run_estimation
 from telegraphctl import rategrid
 from telegraphctl.errors import (
     AllZeroError,
@@ -47,6 +49,12 @@ SMALL_SPEC = GridSpec(
     r21=GridAxis(20.0, 50.0, 3),
     r10=GridAxis(40.0, 60.0, 3),
     r_repump=GridAxis(50.0, 70.0, 3),
+)
+# r21 alone passes a 0.3 rms/mean threshold on many bins of a 250-bin trace
+R21_FIRST_SPEC = GridSpec(
+    r21=GridAxis(20.0, 50.0, 4),
+    r10=GridAxis(10.0, 150.0, 5),
+    r_repump=GridAxis(10.0, 150.0, 5),
 )
 # r21 and r_repump include a zero rate; r10 is a single point
 ZERO_RATE_SPEC = GridSpec(
@@ -262,16 +270,31 @@ class TestRunEstimation:
         assert np.array_equal(result.final_grid.joint, grid.joint)
 
     @pytest.mark.parametrize(
-        "threshold, stop_at_trigger", [(0.0, False), (0.3, False), (0.3, True)]
+        "threshold, stop_at_trigger, spec",
+        [
+            pytest.param(0.0, False, SMALL_SPEC, id="0.0-False"),
+            pytest.param(0.3, False, SMALL_SPEC, id="0.3-False"),
+            pytest.param(0.3, True, SMALL_SPEC, id="0.3-True"),
+            pytest.param(0.3, False, R21_FIRST_SPEC, id="0.3-False-r21-passes-alone"),
+        ],
     )
     def test_marginals_computed_once_per_bin(
-        self, monkeypatch, default_model, paper_rates, threshold, stop_at_trigger
+        self, monkeypatch, default_model, paper_rates, threshold, stop_at_trigger, spec
     ):
-        # perfbench stamps every stopping_check return as one bin step and
-        # counts marginal_rates calls per bin; one set of marginals serves a
-        # bin's stop rule, its history row and, on the last bin, the result
+        # perfbench stamps every stopping_check return as one bin step, so
+        # the stop rule runs once per bin up to the one where it fires. r21's
+        # marginal comes from the step itself; the second pass over the grid
+        # (r10 and r_repump) runs at most once per bin, and only where r21
+        # passes the threshold or the bin writes a history row, a snapshot or
+        # the stop result. marginal_rates runs once, for the final result.
         records = run_trace(SimConfig(paper_rates, default_model, 1e-3, 250, 2, 9))
-        calls = dict.fromkeys(["marginal_rates", "stopping_check"], 0)
+        first_stop, *_, per_bin = reference_run_estimation(
+            records, spec, default_model, 1e-3, "linear", threshold
+        )
+        r21_passes = [m.r21.rms / m.r21.mean <= threshold for m in per_bin]
+
+        calls = dict.fromkeys(["marginal_rates", "stopping_check", "_step"], 0)
+        second_pass_bins = []
         for name in calls:
 
             def counted(*args, _key=name, _original=getattr(rategrid, name), **kwargs):
@@ -279,31 +302,37 @@ class TestRunEstimation:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(rategrid, name, counted)
+
+        def second_pass(joint, _original=rategrid._other_marginals):
+            if not calls["marginal_rates"]:
+                second_pass_bins.append(calls["_step"] - 1)
+            return _original(joint)
+
+        monkeypatch.setattr(rategrid, "_other_marginals", second_pass)
         result = run_estimation(
             records,
-            SMALL_SPEC,
+            spec,
             default_model,
             1e-3,
             stop_threshold=threshold,
             stop_at_trigger=stop_at_trigger,
             history_every=100,
+            snapshot_every=60,
             keep_grid=True,
         )
-        n = result.n_bins
-        checked = n if result.stop_bin is None else result.stop_bin + 1
-        assert (result.stop_bin, n) == {
-            (0.0, False): (None, 250),
-            (0.3, False): (97, 250),
-            (0.3, True): (97, 98),
-        }[threshold, stop_at_trigger]
-        needed = set(range(checked)) | {k - 1 for k in range(100, n + 1, 100)}
-        assert calls == {
-            "stopping_check": checked,
-            "marginal_rates": len(needed) + (n - 1 not in needed),
-        }
-        if threshold == 0.0:
-            assert calls["marginal_rates"] == n
         monkeypatch.undo()
+        assert result.stop_bin == first_stop
+        n = result.n_bins
+        assert n == (first_stop + 1 if stop_at_trigger else 250)
+        checked = n if first_stop is None else first_stop + 1
+        assert calls == {"stopping_check": checked, "marginal_rates": 1, "_step": n}
+        written = {k - 1 for every in (100, 60) for k in range(every, n + 1, every)}
+        if stop_at_trigger:
+            written.discard(first_stop)  # acquisition ends before the rows
+        expected = {b for b in range(checked) if r21_passes[b]} | written
+        assert second_pass_bins == sorted(expected)
+        if spec is R21_FIRST_SPEC:
+            assert first_stop is None and 0 < len(expected - written) < n
         assert result.final_marginals == marginal_rates(result.final_grid)
         assert len(result.rms_history) == len(range(100, n + 1, 100))
 
@@ -537,3 +566,131 @@ class TestFusedMarginals:
         for name, (values, probs) in snap.items():
             assert np.array_equal(values, SMALL_SPEC.axis(name).values())
             assert float(values @ probs) == pytest.approx(reference[name][0], rel=1e-12)
+
+
+def _assert_matches_reference(result, reference):
+    """History rows, the stop and its marginals, and the final grid within
+    1e-12 relative of the separate-pass oracle; the fused step sums in
+    another order, so the bits may differ."""
+    stop_bin, at_stop, history, joint, _ = reference
+    assert result.stop_bin == stop_bin
+    if stop_bin is not None:
+        for post, ref in zip(result.marginals_at_stop, at_stop):
+            assert post == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert [row[0] for row in result.rms_history] == [row[0] for row in history]
+    for row, ref in zip(result.rms_history, history):
+        assert row[1:] == pytest.approx(ref[1:], rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(result.final_grid.joint, joint, rtol=1e-12, atol=0.0)
+    final = reference_marginal_rates(RateGrid(result.final_grid.spec, joint))
+    for post, ref in zip(result.final_marginals, final):
+        assert post == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+class TestFusedStepMatchesReference:
+    @pytest.mark.parametrize(
+        "spec, method, n_bins",
+        [
+            (GridSpec(), "exact", 5100),
+            (GridSpec(), "linear", 1000),
+            (SMALL_SPEC, "linear", 1000),
+        ],
+        ids=["25^3-exact-5100", "25^3-linear-1000", "3x3x3-linear-1000"],
+    )
+    def test_simulated_trace(self, default_model, paper_rates, spec, method, n_bins):
+        # 0.3 fires mid-trace on all three, so the stop marginals are compared
+        records = run_trace(SimConfig(paper_rates, default_model, 1e-3, n_bins, 2, 9))
+        result = run_estimation(
+            records,
+            spec,
+            default_model,
+            1e-3,
+            stop_threshold=0.3,
+            method=method,
+            keep_grid=True,
+        )
+        assert result.stop_bin is not None and len(result.rms_history) == n_bins // 100
+        reference = reference_run_estimation(records, spec, default_model, 1e-3, method, 0.3)
+        _assert_matches_reference(result, reference)
+
+    def test_subnormal_totals(self, default_model):
+        # from a delta prior on alpha = 2 at dt = 0 every count in 800-839
+        # leaves a subnormal total, so the step weights first and then
+        # divides; from 836 each of the 27 cells' share underflows to zero
+        def both(records, history_every):
+            kwargs = dict(stop_threshold=0.5, history_every=history_every)
+            try:
+                reference = reference_run_estimation(
+                    records, SMALL_SPEC, default_model, 0.0, "linear", **kwargs
+                )
+            except AllZeroError:
+                with pytest.raises(AllZeroError):
+                    run_estimation(records, SMALL_SPEC, default_model, 0.0, **kwargs)
+                return False
+            result = run_estimation(
+                records, SMALL_SPEC, default_model, 0.0, keep_grid=True, **kwargs
+            )
+            assert result.stop_bin == 0
+            _assert_matches_reference(result, reference)
+            return True
+
+        compared = [both([TraceRecord(0, n)], 1) for n in range(800, 840)]
+        assert compared == [n < 836 for n in range(800, 840)]
+        assert both([TraceRecord(i, n) for i, n in enumerate(range(800, 836))], 5)
+
+    def test_single_point_axes_exact(self, default_model, paper_rates):
+        # a point mass reads back its rate and rms 0 exactly, on the bins
+        # whose r21 marginal comes from the step and in the final result
+        spec = GridSpec(
+            r21=GridAxis(paper_rates.r21, paper_rates.r21, 1),
+            r10=GridAxis(10.0, 90.0, 5),
+            r_repump=GridAxis(paper_rates.r_repump, paper_rates.r_repump, 1),
+        )
+        records = run_trace(SimConfig(paper_rates, default_model, 1e-3, 300, 2, 15))
+        result = run_estimation(
+            records,
+            spec,
+            default_model,
+            1e-3,
+            stop_threshold=0.6,
+            history_every=10,
+            keep_grid=True,
+        )
+        assert result.stop_bin is not None and len(result.rms_history) == 30
+        for m in (result.marginals_at_stop, result.final_marginals):
+            assert (m.r21.mean, m.r21.rms) == (paper_rates.r21, 0.0)
+            assert (m.r_repump.mean, m.r_repump.rms) == (paper_rates.r_repump, 0.0)
+        assert all(row[1] == 0.0 and row[3] == 0.0 for row in result.rms_history)
+        reference = reference_run_estimation(
+            records, spec, default_model, 1e-3, "linear", 0.6, history_every=10
+        )
+        _assert_matches_reference(result, reference)
+
+
+def test_estimation_allocates_no_grid_per_bin(default_model, paper_rates):
+    # after a warm-up run has built the propagator and the small caches, a
+    # run holds the grid and its one step buffer; a grid-sized block made
+    # on any bin, history or snapshot bins included, would add a third
+    records = run_trace(SimConfig(paper_rates, default_model, 1e-3, 200, 2, 16))
+    spec = GridSpec()
+
+    def run():
+        return run_estimation(
+            records,
+            spec,
+            default_model,
+            1e-3,
+            method="exact",
+            history_every=50,
+            snapshot_every=100,
+        )
+
+    run()
+    grid_bytes = 8 * spec.n_cells
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_bins == 200
+    assert peak < 2 * grid_bytes + grid_bytes // 4
