@@ -32,14 +32,11 @@ from .errors import (
     NeverReachedError,
     NoEpisodesError,
     NotConvergedWarning,
-    NotStochasticError,
     TelegraphError,
     ZeroMeanError,
 )
 from .filtering import (
     FilterConfig,
-    apply_pulse_to_belief,
-    exact_step_matrix,
     generator,
     posterior_update,
     propagate_prior,
@@ -54,7 +51,6 @@ from .model import (
     Pulse,
     TraceRecord,
     TransitionRates,
-    likelihood,
     normalize,
 )
 from .rategrid import (
@@ -78,7 +74,26 @@ from .simulate import (
     emit_photons,
     run_trace,
     run_trace_events,
-    step_continuous,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, and no submodule.
+__all__ = [
+    "DwellStats", "OccupancySummary", "dwell_time", "integrate_rate_equations",
+    "mean_occupancy", "optimal_repump_rate", "stationary_belief",
+    "sweep_repump_rate", "time_to_target",
+    "ControlDecision", "ControlPolicy", "decide_action", "decide_action_optimal",
+    "decide_action_simple", "kolmogorov_distance", "optimal_pulse_probability",
+    "AllZeroError", "CapExceededError", "ConfigError", "GuardViolatedError",
+    "NeverReachedError", "NoEpisodesError", "NotConvergedWarning",
+    "TelegraphError", "ZeroMeanError",
+    "FilterConfig", "generator", "posterior_update", "propagate_prior",
+    "pulse_matrix", "run_filter", "step_matrix", "trace_log_likelihood",
+    "Belief", "PhotonCountModel", "Pulse", "TraceRecord", "TransitionRates",
+    "normalize",
+    "GridAxis", "GridSpec", "RateGrid", "RateMarginals", "RatePosterior",
+    "init_flat", "marginal_rates", "marginal_states", "run_estimation",
+    "stopping_check", "update",
+    "PortableRandom", "derive_seed",
+    "PulseSpec", "SimConfig", "apply_pulse", "emit_photons", "run_trace",
+    "run_trace_events",
+]

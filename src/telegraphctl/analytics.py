@@ -40,8 +40,8 @@ def integrate_rate_equations(
     the matrix-exponential step and serves as the oracle for the
     linearization error.
     """
-    if not duration > 0.0:
-        raise ValueError("duration must be > 0")
+    if not 0.0 < duration < math.inf:  # NaN too
+        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
     n = int(round(duration / dt))

@@ -9,6 +9,7 @@ converge before the data ran out.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from collections import Counter
@@ -156,7 +157,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _require(ok: bool, flag: str, value, rule: str) -> None:
+    """ConfigError naming the flag unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"{flag} must be {rule}, got {value!r}")
+
+
 def cmd_estimate_rates(args) -> int:
+    thr = args.stop_threshold
+    _require(0.0 <= thr < math.inf, "--stop-threshold", thr, "a finite number >= 0")
     cfg = _load_config(args)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -286,11 +295,20 @@ def cmd_feedback(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    for flag, r in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        _require(0.0 <= r < math.inf, flag, r, "a finite rate >= 0")
+    _require(args.r_steps >= 1, "--r-steps", args.r_steps, ">= 1")
     cfg = _load_config(args)
+    duration = args.duration_ms * 1e-3
+    _require(
+        0.0 < duration < math.inf and round(duration / cfg.bin_time) >= 1,
+        "--duration-ms",
+        args.duration_ms,
+        "finite and longer than half a bin",
+    )
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     r_values = np.linspace(args.r_min, args.r_max, args.r_steps)
-    duration = args.duration_ms * 1e-3
     curve = sweep_repump_rate(cfg.rates, r_values, duration, cfg.bin_time)
     rows = []
     for r, mean_p1 in curve:

@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-# pulse_matrix stays importable from here, next to the policies that use it
-from .filtering import pulse_matrix, pulsed_belief, pulsed_belief_once  # noqa: F401
+from .filtering import pulsed_belief, pulsed_belief_once
 from .model import Belief, Pulse
 from .simulate import PulseSpec
 

@@ -15,10 +15,6 @@ class GuardViolatedError(TelegraphError):
     (rate * dt too large). Shrink dt or use the exact-exponential mode."""
 
 
-class NotStochasticError(TelegraphError):
-    """A matrix expected to be column-stochastic is not."""
-
-
 class CapExceededError(TelegraphError):
     """Requested grid would exceed the configured memory cap."""
 

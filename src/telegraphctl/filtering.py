@@ -2,9 +2,11 @@
 rate-equation prior propagation, and pulse matrices with the
 pulse-conditioned belief transforms built on them.
 
-Propagation applies I + dt*G with the generator G built in generator().
-Continuous depumping is deliberately absent from G (in the belief model it
-acts through pulses only) while the simulator supports it, which keeps the
+Propagation applies I + dt*G for the rate-equation generator G that
+generator() returns as a matrix; step_matrices and expm write G's entries
+themselves, elementwise over stacked rates, and never call it. Continuous
+depumping is deliberately absent from G (in the belief model it acts
+through pulses only) while the simulator supports it, which keeps the
 mismatch testable. The linearization is valid while
 max(2*Rr, R10+Rr, R21) * dt < 0.5; outside that region callers must use
 the exact mode, exp(dt*G) from expm() by uniformization: a Taylor series
@@ -35,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AllZeroError, GuardViolatedError, NotStochasticError
+from .errors import AllZeroError, GuardViolatedError
 from .model import (
     Belief,
     PhotonCountModel,
@@ -201,11 +203,6 @@ def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
     ).T
 
 
-def exact_step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
-    """exp(dt*G): exact propagation over one bin, valid for any dt >= 0."""
-    return step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "exact")
-
-
 @functools.lru_cache(maxsize=32)
 def transition_matrix(
     r21: float, r10: float, rr: float, dt: float, method: str
@@ -279,20 +276,13 @@ def _posterior(prior: Belief, w0: float, w1: float, w2: float) -> Belief:
     return normalize((w0, w1, w2))
 
 
-def posterior_from_log_likelihoods(
-    prior: Belief, logl: Sequence[float]
-) -> Belief:
-    """Bayes update from per-state log-likelihoods, in the log domain so
-    extreme counts cannot underflow unless the posterior is genuinely
-    all-zero. Equal log-likelihoods reproduce the prior up to roundoff; a
-    delta prior is an exact fixed point for any observation."""
-    w0, w1, w2, _ = _bayes_weights(prior, logl)
-    return _posterior(prior, w0, w1, w2)
-
-
 def posterior_update(prior: Belief, n: int, model: PhotonCountModel) -> Belief:
-    """Bayes update: posterior proportional to p(n | alpha) * prior."""
-    return posterior_from_log_likelihoods(prior, log_likelihoods(model, n))
+    """Bayes update: posterior proportional to p(n | alpha) * prior, in the
+    log domain so extreme counts cannot underflow unless the posterior is
+    genuinely all-zero. Equal log-likelihoods reproduce the prior up to
+    roundoff; a delta prior is an exact fixed point for any observation."""
+    w0, w1, w2, _ = _bayes_weights(prior, log_likelihoods(model, n))
+    return _posterior(prior, w0, w1, w2)
 
 
 def _stochastic_product(m: np.ndarray, belief: Belief) -> Belief:
@@ -376,21 +366,6 @@ def pulsed_belief_once(belief: Belief, t: float, direction: Pulse) -> Belief:
     """pulsed_belief for a T chosen afresh on each bin, as the optimal
     policy's is: the same matrix and bits, built without the cache."""
     return _stochastic_product(build_pulse_matrix(t, direction), belief)
-
-
-def apply_pulse_to_belief(belief: Belief, matrix: np.ndarray) -> Belief:
-    """Multiply the belief by a caller-supplied column-stochastic pulse
-    matrix, checking its shape, signs and column sums first."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
-        raise NotStochasticError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if np.any(m < -1e-12):
-        raise NotStochasticError("matrix has negative entries")
-    colsums = m.sum(axis=0)
-    if np.max(np.abs(colsums - 1.0)) > 1e-9:
-        raise NotStochasticError(f"column sums deviate from 1: {colsums}")
-    out = m @ np.asarray(belief.as_tuple())
-    return normalize(np.maximum(out, 0.0))  # tolerated -1e-12-scale entries
 
 
 def run_filter(records: Sequence[TraceRecord], config: FilterConfig) -> list[Belief]:

@@ -58,15 +58,6 @@ def pin_unit_sum(values: list[float]) -> list[float]:
     return values
 
 
-def _pinned_triple(w0: float, w1: float, w2: float) -> tuple[float, float, float]:
-    """Scale to unit sum, then pin the exact sum to 1.0; already-normalized
-    input is returned unchanged, which makes normalization idempotent."""
-    if math.fsum((w0, w1, w2)) == 1.0:
-        return (w0, w1, w2)
-    s = w0 + w1 + w2
-    return tuple(pin_unit_sum([w0 / s, w1 / s, w2 / s]))
-
-
 class Belief(NamedTuple):
     """Occupation probabilities (p0, p1, p2) over the three joint states."""
 
@@ -91,15 +82,16 @@ def normalize_unchecked(w0: float, w1: float, w2: float) -> Belief:
     that are finite and >= 0 by construction: a stochastic matrix times a
     normalized belief, or Bayes weights. A zero sum still raises
     AllZeroError."""
-    if math.fsum((w0, w1, w2)) != 1.0:  # _pinned_triple's steps, inlined
+    if math.fsum((w0, w1, w2)) != 1.0:  # a unit sum is kept: idempotent
         s = w0 + w1 + w2
         if s == 0.0:
             raise AllZeroError("weights sum to zero")
         w0, w1, w2 = pin_unit_sum([w0 / s, w1 / s, w2 / s])
     if 0.0 < w0 < _CLAMP or 0.0 < w1 < _CLAMP or 0.0 < w2 < _CLAMP:
-        # Floor denormal-scale components, then renormalize once more.
-        floored = (0.0 if x < _CLAMP else x for x in (w0, w1, w2))
-        return Belief(*_pinned_triple(*floored))
+        # Floor denormal-scale components, then renormalize once more: the
+        # floored sum is <= 1, so no kept component drops below the clamp
+        # and this call floors nothing.
+        return normalize_unchecked(*(0.0 if x < _CLAMP else x for x in (w0, w1, w2)))
     return Belief(w0, w1, w2)
 
 
@@ -224,11 +216,6 @@ def _neg_binomial_logpmf(n: int, mean: float, fano: float) -> float:
         + shape * math.log(p)
         + n * math.log1p(-p)
     )
-
-
-def likelihood(model: PhotonCountModel, n: int, alpha: int) -> float:
-    """p(n | alpha) under the configured family (computed in log domain)."""
-    return math.exp(model.log_likelihood(n, alpha))
 
 
 @functools.lru_cache(maxsize=1024)

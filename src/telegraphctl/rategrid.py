@@ -124,9 +124,6 @@ class RateGrid:
     def copy(self) -> "RateGrid":
         return RateGrid(self.spec, self.joint.copy())
 
-    def total(self) -> float:
-        return float(self.joint.sum())
-
 
 class RatePosterior(NamedTuple):
     """Marginal summary for one rate: expectation and rms spread (1/s)."""
@@ -385,12 +382,18 @@ def run_estimation(
     The stopping rule is evaluated after every bin. With stop_at_trigger the
     acquisition truncates there (the experimental protocol); otherwise the
     full trace is consumed and the trigger bin is only recorded, which keeps
-    the final posterior comparable across seeds.
+    the final posterior comparable across seeds. stop_threshold must be a
+    finite number >= 0: NaN or infinity would fire at the first bin, and a
+    negative threshold never.
 
     method defaults to the linearized step whenever every grid cell
     satisfies the validity guard for dt, and to the exact matrix-exponential
     step otherwise. An AllZeroError names the bin it arose in.
     """
+    if not 0.0 <= stop_threshold < math.inf:  # NaN too
+        raise ValueError(
+            f"stop_threshold must be a finite number >= 0, got {stop_threshold!r}"
+        )
     if any(rec.pulse for rec in records):
         raise ValueError("rate estimation expects open-loop traces without pulses")
     if method is None:

@@ -98,19 +98,12 @@ def exit_channels(state: int, rates: TransitionRates) -> list[tuple[float, int]]
     return channels
 
 
-def step_continuous(
-    state: int, rates: TransitionRates, dt: float, rng: PortableRandom
-) -> int:
-    """Hidden state after evolving ``dt`` seconds (exact Gillespie sampling)."""
-    state, _ = step_continuous_events(state, rates, dt, rng)
-    return state
-
-
 def step_continuous_events(
     state: int, rates: TransitionRates, dt: float, rng: PortableRandom
 ) -> tuple[int, list[tuple[float, int]]]:
-    """Like step_continuous but also returns the (time, new_state) jump list,
-    with times relative to the start of the interval; dt must be finite."""
+    """Hidden state after evolving ``dt`` seconds (exact Gillespie sampling)
+    and the (time, new_state) jump list, with times relative to the start
+    of the interval; dt must be finite."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     check_state(state)

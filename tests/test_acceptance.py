@@ -34,16 +34,16 @@ from telegraphctl.control import (
     ControlPolicy,
     kolmogorov_distance,
     optimal_pulse_probability,
-    pulse_matrix,
 )
 from telegraphctl.experiments import observe_chain, run_closed_loop_ensemble
 from telegraphctl.filtering import (
     FilterConfig,
-    exact_step_matrix,
     guard_load,
     posterior_update,
     propagate_prior,
+    pulse_matrix,
     run_filter,
+    step_matrices,
     step_matrix,
 )
 from telegraphctl.model import Belief, PhotonCountModel, Pulse, TransitionRates, normalize
@@ -467,7 +467,8 @@ def test_criterion_8_oracle_suite():
     for rates in rate_sets:
         dt = 1e-3 if guard_load(rates, 1e-3) < 0.5 else 1e-4
         load = guard_load(rates, dt)
-        lin, ex = step_matrix(rates, dt), exact_step_matrix(rates, dt)
+        lin = step_matrix(rates, dt)
+        ex = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "exact")
         for _ in range(200):
             p = rng.dirichlet(np.ones(3))
             if np.abs(lin @ p - ex @ p).max() >= load * load:

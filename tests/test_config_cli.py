@@ -399,6 +399,31 @@ class TestCli:
         assert "config error: line 2: sim.bin_time_ms" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--duration-ms", "nan"),
+            ("--duration-ms", "inf"),
+            ("--duration-ms", "0.0001"),
+            ("--r-min", "-5"),
+            ("--r-steps", "-2"),
+        ],
+    )
+    def test_bad_sweep_flag_is_config_error(self, out, capsys, flag, value):
+        # each raised a bare ValueError or OverflowError from the sweep
+        assert main(["sweep", flag, value, "--out", str(out)]) == 1
+        assert f"config error: {flag} must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_bad_stop_threshold_is_config_error(self, out, tmp_path, capsys, value):
+        # rejected before any trace is read: this one does not exist
+        trace = str(tmp_path / "missing.csv")
+        argv = ["estimate-rates", trace, "--stop-threshold", value, "--out", str(out)]
+        assert main(argv) == 1
+        assert "config error: --stop-threshold must be " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_grid_max_is_config_error(self, out, tmp_path):
         sim_out = tmp_path / "sim"
         assert main(["simulate", "--traces", "1", "--bins", "20", "--out", str(sim_out)]) == 0

@@ -13,10 +13,9 @@ from telegraphctl.control import (
     decide_action_simple,
     kolmogorov_distance,
     optimal_pulse_probability,
-    pulse_matrix,
 )
 from telegraphctl.experiments import run_closed_loop
-from telegraphctl.filtering import build_pulse_matrix
+from telegraphctl.filtering import build_pulse_matrix, pulse_matrix
 from telegraphctl.model import Belief, Pulse, normalize
 
 TARGET = Belief(0.0, 1.0, 0.0)

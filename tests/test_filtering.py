@@ -9,16 +9,14 @@ import pytest
 from scipy.stats import binom, poisson
 
 from telegraphctl.config import feedback_defaults
-from telegraphctl.control import ControlPolicy, pulse_matrix
-from telegraphctl.errors import AllZeroError, GuardViolatedError, NotStochasticError
+from telegraphctl import filtering
+from telegraphctl.control import ControlPolicy
+from telegraphctl.errors import AllZeroError, GuardViolatedError
 from telegraphctl.experiments import run_closed_loop
 from telegraphctl.filtering import (
     FilterConfig,
-    apply_pulse_to_belief,
-    exact_step_matrix,
     generator,
     guard_load,
-    posterior_from_log_likelihoods,
     posterior_update,
     propagate_prior,
     pulsed_belief,
@@ -78,7 +76,7 @@ def test_exact_step_matrices_match_single_calls(dt):
     batch = step_matrices(r21, r10, rr, dt, "exact")
     assert batch.shape == (3, 4, 3, 3)
     for i, j in np.ndindex(3, 4):
-        single = exact_step_matrix(TransitionRates(r21[j], r10[i, 0], rr), dt)
+        single = step_matrices(r21[j], r10[i, 0], rr, dt, "exact")
         assert batch[i, j].tobytes() == single.tobytes()
     assert np.all(batch >= 0.0)
 
@@ -125,7 +123,7 @@ def test_exact_step_matrices_reach_stationary_at_huge_dt(dt):
     # about a thousand squarings at 1e300 s: every column must still be the
     # stationary distribution, not an overflow
     for rates in RATE_SETS:
-        m = exact_step_matrix(rates, dt)
+        m = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "exact")
         p_inf = stationary_from_nullspace(generator(rates))
         assert np.allclose(m, p_inf[:, None], rtol=1e-12, atol=0), rates
 
@@ -224,13 +222,16 @@ class TestPropagatePrior:
 
     @pytest.mark.parametrize("method", ["linear", "exact"])
     def test_matches_fresh_matrix(self, method):
-        build = step_matrix if method == "linear" else exact_step_matrix
         belief = Belief(0.2, 0.3, 0.5)
         for rates in RATE_SETS:
             for dt in (1e-4, 1e-3):
-                if method == "linear" and guard_load(rates, dt) >= 0.5:
-                    continue
-                expected = normalize(build(rates, dt) @ np.asarray(belief.as_tuple()))
+                if method == "linear":
+                    if guard_load(rates, dt) >= 0.5:
+                        continue
+                    m = step_matrix(rates, dt)
+                else:
+                    m = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "exact")
+                expected = normalize(m @ np.asarray(belief.as_tuple()))
                 for _ in range(2):  # the second call reads the cached matrix
                     assert propagate_prior(belief, rates, dt, method) == expected
 
@@ -259,7 +260,7 @@ class TestPropagatePrior:
                 load = guard_load(rates, dt)
                 if load >= 0.5:
                     continue
-                exact = exact_step_matrix(rates, dt)
+                exact = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "exact")
                 linear = step_matrix(rates, dt)
                 for _ in range(50):
                     p = rng.dirichlet(np.ones(3))
@@ -304,9 +305,10 @@ def test_invalid_belief_raises_normalize_error(step, belief, error):
 
 
 class TestPosteriorUpdate:
-    def test_equal_likelihoods_preserve_prior(self):
+    def test_equal_likelihoods_preserve_prior(self, monkeypatch, default_model):
+        monkeypatch.setattr(filtering, "log_likelihoods", lambda model, n: (-3.7,) * 3)
         prior = Belief(0.2, 0.5, 0.3)
-        post = posterior_from_log_likelihoods(prior, (-3.7, -3.7, -3.7))
+        post = posterior_update(prior, 28, default_model)
         for a, b in zip(post.as_tuple(), prior.as_tuple()):
             assert a == pytest.approx(b, rel=1e-14)
 
@@ -353,27 +355,20 @@ class TestPosteriorUpdate:
 
 
 class TestApplyPulseToBelief:
+    """pulsed_belief, the one way a pulse is applied to a belief."""
+
     def test_identity(self):
         b = Belief(0.3, 0.4, 0.3)
-        assert apply_pulse_to_belief(b, np.eye(3)) == b
+        for direction in (Pulse.REPUMP, Pulse.DEPUMP):
+            assert pulsed_belief(b, 0.0, direction) == b
 
     def test_saturating_repump(self):
-        m = pulse_matrix(1.0, Pulse.REPUMP)
         for b in (Belief(1, 0, 0), Belief(0.2, 0.5, 0.3)):
-            assert apply_pulse_to_belief(b, m) == Belief(0.0, 0.0, 1.0)
+            assert pulsed_belief(b, 1.0, Pulse.REPUMP) == Belief(0.0, 0.0, 1.0)
 
     def test_half_pulse_from_bottom(self):
-        out = apply_pulse_to_belief(Belief(1.0, 0.0, 0.0), pulse_matrix(0.5, Pulse.REPUMP))
+        out = pulsed_belief(Belief(1.0, 0.0, 0.0), 0.5, Pulse.REPUMP)
         assert out == Belief(0.25, 0.5, 0.25)
-
-    def test_not_stochastic_rejected(self):
-        bad = np.eye(3) * 1.5
-        with pytest.raises(NotStochasticError):
-            apply_pulse_to_belief(Belief(1, 0, 0), bad)
-        negative = np.array([[1.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, -0.0001, 1.0]])
-        negative[0, 2] = 1.0001
-        with pytest.raises(NotStochasticError):
-            apply_pulse_to_belief(Belief(1, 0, 0), negative)
 
 
 class TestRunFilter:

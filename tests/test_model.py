@@ -12,13 +12,17 @@ from telegraphctl.model import (
     TraceRecord,
     TransitionRates,
     check_state,
-    likelihood,
     log_likelihoods,
     normalize,
     normalize_unchecked,
 )
 
 from oracles import reference_normalize
+
+
+def _pmf(model, n, alpha):
+    """p(n | alpha), from the model's log-likelihood."""
+    return math.exp(model.log_likelihood(n, alpha))
 
 
 def test_state_validation():
@@ -166,18 +170,18 @@ class TestPhotonCountModel:
     def test_poisson_pmf_matches_scipy(self, default_model):
         for alpha, mean in enumerate(default_model.mean_counts):
             for n in (0, 1, 5, 16, 28, 40, 90):
-                assert likelihood(default_model, n, alpha) == pytest.approx(
+                assert _pmf(default_model, n, alpha) == pytest.approx(
                     poisson.pmf(n, mean), rel=1e-12
                 )
 
     def test_poisson_at_zero(self):
         model = PhotonCountModel((16.0, 10.0, 4.0))
-        assert likelihood(model, 0, 0) == pytest.approx(math.exp(-16.0), rel=1e-12)
+        assert _pmf(model, 0, 0) == pytest.approx(math.exp(-16.0), rel=1e-12)
 
     def test_mode_likelihood_ordering(self):
         # at mean 28 the pmf at 28 exceeds the pmf at 16
         model = PhotonCountModel((40.0, 28.0, 16.0))
-        assert likelihood(model, 28, 1) > likelihood(model, 16, 1)
+        assert _pmf(model, 28, 1) > _pmf(model, 16, 1)
         assert poisson.pmf(28, 28.0) > poisson.pmf(16, 28.0)  # oracle agrees
 
     def test_neg_binomial_pmf_matches_scipy(self):
@@ -186,7 +190,7 @@ class TestPhotonCountModel:
         shape = mean / (fano - 1.0)
         p = 1.0 / fano
         for n in (0, 3, 15, 28, 60, 150):
-            assert likelihood(model, n, 1) == pytest.approx(
+            assert _pmf(model, n, 1) == pytest.approx(
                 nbinom.pmf(n, shape, p), rel=1e-10
             )
 
@@ -198,7 +202,7 @@ class TestPhotonCountModel:
             n = 0
             # accumulate until the remaining tail is provably < 1e-12
             while total < 1.0 - 1e-13 and n < 5000:
-                total += likelihood(model, n, alpha)
+                total += _pmf(model, n, alpha)
                 n += 1
             assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -208,14 +212,14 @@ class TestPhotonCountModel:
             (mean, 28.0, 16.0), family="overdispersed", fano=1.0 + 1e-6
         )
         diffs = [
-            abs(likelihood(model, n, 0) - poisson.pmf(n, mean)) for n in range(0, 200)
+            abs(_pmf(model, n, 0) - poisson.pmf(n, mean)) for n in range(0, 200)
         ]
         assert max(diffs) < 1e-6
 
     def test_zero_mean_state(self):
         model = PhotonCountModel((40.0, 28.0, 0.0))
-        assert likelihood(model, 0, 2) == 1.0
-        assert likelihood(model, 3, 2) == 0.0
+        assert _pmf(model, 0, 2) == 1.0
+        assert _pmf(model, 3, 2) == 0.0
 
     def test_rescaled_scales_means(self, default_model):
         half = default_model.rescaled(default_model.bin_time / 2)

@@ -15,7 +15,6 @@ from telegraphctl.errors import (
 from telegraphctl.filtering import (
     GUARD_LIMIT,
     FilterConfig,
-    exact_step_matrix,
     guard_load,
     run_filter,
     step_matrices,
@@ -64,10 +63,9 @@ ZERO_RATE_SPEC = GridSpec(
 )
 
 
-def cell_rates(spec: GridSpec, cell: tuple[int, int, int]) -> TransitionRates:
-    return TransitionRates(
-        *(float(spec.axis(name).values()[k]) for name, k in zip(RATE_NAMES, cell))
-    )
+def cell_rates(spec: GridSpec, cell: tuple[int, int, int]) -> tuple[float, ...]:
+    """A cell's (r21, r10, r_repump)."""
+    return tuple(float(spec.axis(name).values()[k]) for name, k in zip(RATE_NAMES, cell))
 
 
 def single_cell_spec(rates: TransitionRates) -> GridSpec:
@@ -190,7 +188,7 @@ class TestUpdate:
         grid = init_flat(GridSpec(), DELTA2)
         for rec in records:
             grid = update(grid, rec.photon_count, default_model, 1e-3)
-            assert grid.total() == pytest.approx(1.0, abs=1e-10)
+            assert grid.joint.sum() == pytest.approx(1.0, abs=1e-10)
             states = marginal_states(grid)
             assert math.fsum(states.as_tuple()) == 1.0
             for post in marginal_rates(grid).as_dict().values():
@@ -228,7 +226,7 @@ class TestUpdate:
         grid = init_flat(spec, DELTA2)
         coarse_model = default_model.rescaled(10e-3)
         out = update(grid, 280, coarse_model, 10e-3, method="exact")
-        assert out.total() == pytest.approx(1.0, abs=1e-10)
+        assert out.joint.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(out.joint >= 0.0)
 
 
@@ -368,6 +366,17 @@ class TestRunEstimation:
         with pytest.raises(ValueError):
             run_estimation(records, GridSpec(), default_model, 1e-3)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_threshold_that_is_not_finite_and_non_negative(
+        self, default_model, threshold
+    ):
+        # NaN and infinity would fire at the first bin, a negative never
+        records = [TraceRecord(0, 30)]
+        with pytest.raises(ValueError, match="stop_threshold"):
+            run_estimation(
+                records, SMALL_SPEC, default_model, 1e-3, stop_threshold=threshold
+            )
+
     def test_snapshots_exported(self, default_model, paper_rates):
         sim = SimConfig(paper_rates, default_model, 1e-3, 100, 2, 12)
         records = run_trace(sim)
@@ -405,8 +414,7 @@ class TestExactPropagator:
         p = _propagator(spec, dt, method).p
         assert p.shape == (3, 3, spec.n_cells // 3)
         for flat, cell in enumerate(np.ndindex(spec.shape)):
-            r = cell_rates(spec, cell)
-            expected = step_matrices(r.r21, r.r10, r.r_repump, dt, method)
+            expected = step_matrices(*cell_rates(spec, cell), dt, method)
             assert p[:, :, flat].tobytes() == expected.tobytes(), (cell, dt)
 
     def test_apply_matches_per_cell_product(self):
@@ -415,7 +423,7 @@ class TestExactPropagator:
         out = np.empty_like(joint)
         _propagator(ZERO_RATE_SPEC, 1e-3, "exact").apply(joint, out)
         for cell in np.ndindex(ZERO_RATE_SPEC.shape):
-            m = exact_step_matrix(cell_rates(ZERO_RATE_SPEC, cell), 1e-3)
+            m = step_matrices(*cell_rates(ZERO_RATE_SPEC, cell), 1e-3, "exact")
             col = joint[(slice(None),) + cell]
             expected = [math.fsum(m[i] * col) for i in range(3)]
             assert np.allclose(out[(slice(None),) + cell], expected, rtol=1e-15, atol=0)
@@ -427,7 +435,8 @@ def _reference_update(grid, n, model, dt):
     prior = np.empty_like(grid.joint)
     for cell in np.ndindex(grid.spec.shape):
         idx = (slice(None),) + cell
-        prior[idx] = exact_step_matrix(cell_rates(grid.spec, cell), dt) @ grid.joint[idx]
+        m = step_matrices(*cell_rates(grid.spec, cell), dt, "exact")
+        prior[idx] = m @ grid.joint[idx]
     logl = np.array(log_likelihoods(model, n))
     weighted = prior * np.exp(logl - logl.max())[:, None, None, None]
     total = weighted.sum()
@@ -451,7 +460,7 @@ class TestHostileCounts:
             return
         out = update(grid, n, default_model, dt, method="exact")
         assert np.all(np.isfinite(out.joint))
-        assert out.total() == pytest.approx(1.0, abs=1e-12)
+        assert out.joint.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out.joint, expected, rtol=1e-12, atol=1e-300)
 
     def test_memoized_weights_are_read_only(self, default_model):

@@ -20,7 +20,6 @@ from telegraphctl.simulate import (
     run_trace,
     run_trace_events,
     states_at_bin_ends,
-    step_continuous,
     step_continuous_events,
 )
 from telegraphctl.traceio import format_trace
@@ -32,7 +31,8 @@ def test_frozen_chain():
     rates = TransitionRates(0.0, 0.0, 0.0, 0.0)
     rng = PortableRandom(1)
     for state in (0, 1, 2):
-        assert all(step_continuous(state, rates, 1e-3, rng) == state for _ in range(50))
+        for _ in range(50):
+            assert step_continuous_events(state, rates, 1e-3, rng) == (state, [])
 
 
 def test_exit_channels_depump_mirrors_repump_multiplicity():
@@ -52,7 +52,7 @@ def test_single_bin_jump_frequency_vs_matrix_exponential(paper_rates):
     n = 1_000_000
     counts = np.zeros(3)
     for _ in range(n):
-        counts[step_continuous(2, paper_rates, dt, rng)] += 1
+        counts[step_continuous_events(2, paper_rates, dt, rng)[0]] += 1
     freq = counts / n
     for a in range(3):
         sigma = math.sqrt(max(p_exact[a] * (1 - p_exact[a]), 1e-12) / n)
@@ -75,7 +75,7 @@ def test_bin_transition_frequencies_match_exponential(rates):
     state = 2
     transitions = np.zeros((3, 3))
     for _ in range(n_bins):
-        new = step_continuous(state, rates, dt, rng)
+        new = step_continuous_events(state, rates, dt, rng)[0]
         transitions[new, state] += 1
         state = new
     for col in range(3):
@@ -97,7 +97,7 @@ def test_long_run_occupancy_matches_nullspace(paper_rates):
     n_bins = 200_000
     occupancy = np.zeros(3)
     for _ in range(n_bins):
-        state = step_continuous(state, paper_rates, dt, rng)
+        state = step_continuous_events(state, paper_rates, dt, rng)[0]
         occupancy[state] += 1
     freq = occupancy / n_bins
     # bins are correlated over ~ 20 ms; allow 4 sigma with effective n
