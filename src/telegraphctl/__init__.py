@@ -28,16 +28,17 @@ from .errors import (
     AllZeroError,
     CapExceededError,
     ConfigError,
+    EmptyEnsembleError,
     GuardViolatedError,
     NeverReachedError,
     NoEpisodesError,
     NotConvergedWarning,
     TelegraphError,
+    TraceFormatError,
     ZeroMeanError,
 )
 from .filtering import (
     FilterConfig,
-    generator,
     posterior_update,
     propagate_prior,
     pulse_matrix,
@@ -83,10 +84,10 @@ __all__ = [
     "sweep_repump_rate", "time_to_target",
     "ControlDecision", "ControlPolicy", "decide_action", "decide_action_optimal",
     "decide_action_simple", "kolmogorov_distance", "optimal_pulse_probability",
-    "AllZeroError", "CapExceededError", "ConfigError", "GuardViolatedError",
-    "NeverReachedError", "NoEpisodesError", "NotConvergedWarning",
-    "TelegraphError", "ZeroMeanError",
-    "FilterConfig", "generator", "posterior_update", "propagate_prior",
+    "AllZeroError", "CapExceededError", "ConfigError", "EmptyEnsembleError",
+    "GuardViolatedError", "NeverReachedError", "NoEpisodesError",
+    "NotConvergedWarning", "TelegraphError", "TraceFormatError", "ZeroMeanError",
+    "FilterConfig", "posterior_update", "propagate_prior",
     "pulse_matrix", "run_filter", "step_matrix", "trace_log_likelihood",
     "Belief", "PhotonCountModel", "Pulse", "TraceRecord", "TransitionRates",
     "normalize",

@@ -173,7 +173,6 @@ def cmd_estimate_rates(args) -> int:
     reports = []
     evolution_rows = []
     all_converged = True
-    method = "exact" if cfg.propagation == "exact" else None  # None: auto
     for path in args.traces_in:
         records = read_trace(path)
         try:
@@ -186,7 +185,6 @@ def cmd_estimate_rates(args) -> int:
                 stop_threshold=args.stop_threshold,
                 stop_at_trigger=True,
                 snapshot_every=max(1, len(records) // 10),
-                method=method,
             )
         except AllZeroError as exc:
             raise AllZeroError(f"{path}: {exc}") from None

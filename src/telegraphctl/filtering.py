@@ -1,22 +1,23 @@
-"""Per-bin belief updates: Bayes posterior from counts, linearized
-rate-equation prior propagation, and pulse matrices with the
-pulse-conditioned belief transforms built on them.
+"""Per-bin belief updates: Bayes posterior from counts, rate-equation
+prior propagation, and pulse matrices with the pulse-conditioned belief
+transforms built on them.
 
-Propagation applies I + dt*G for the rate-equation generator G that
-generator() returns as a matrix; step_matrices and expm write G's entries
-themselves, elementwise over stacked rates, and never call it. Continuous
-depumping is deliberately absent from G (in the belief model it acts
-through pulses only) while the simulator supports it, which keeps the
-mismatch testable. The linearization is valid while
-max(2*Rr, R10+Rr, R21) * dt < 0.5; outside that region callers must use
-the exact mode, exp(dt*G) from expm() by uniformization: a Taylor series
-of non-negative terms, scaled and squared, so every entry is computed
-without cancellation. Rates, dt and the pulse transition probabilities are
-fixed for a run, so each (rates, dt, method) transition matrix and each
-(T, direction) pulse matrix is built once and shared read-only; the
-optimal policy picks a new T on every bin, so its pulse matrix is built
-afresh (pulsed_belief_once). The per-count log-likelihoods come from the
-memoized table in model.log_likelihoods.
+Propagation applies one bin's transition matrix for the rate-equation
+generator G. There are two builders, and transition_matrix is the one
+place that chooses between them by ``method``. step_matrix is the
+linearized step I + dt*G for one rate triple, valid while
+max(2*Rr, R10+Rr, R21) * dt < 0.5; expm is the exact step exp(dt*G) for
+rates broadcast together, by uniformization: a Taylor series of
+non-negative terms, scaled and squared, so every entry is computed
+without cancellation. The rate grid (rategrid) always uses the exact
+builder. Continuous depumping is deliberately absent from G (in the
+belief model it acts through pulses only) while the simulator supports
+it, which keeps the mismatch testable. Rates, dt and the pulse transition
+probabilities are fixed for a run, so each (rates, dt, method) transition
+matrix and each (T, direction) pulse matrix is built once and shared
+read-only; the optimal policy picks a new T on every bin, so its pulse
+matrix is built afresh (pulsed_belief_once). The per-count
+log-likelihoods come from the memoized table in model.log_likelihoods.
 
 The per-bin steps (propagate_prior, posterior_update, pulsed_belief, and
 through them run_filter and trace_log_likelihood) normalize with
@@ -54,18 +55,6 @@ GUARD_LIMIT = 0.5
 
 # Read on every pulse: a module name is cheaper to look up than an enum member.
 _NONE, _REPUMP, _DEPUMP = Pulse.NONE, Pulse.REPUMP, Pulse.DEPUMP
-
-
-def generator(rates: TransitionRates) -> np.ndarray:
-    """Rate-equation generator G acting on column vectors (p0, p1, p2).
-
-    Column sums are exactly zero; continuous depumping is not part of the
-    belief propagation model.
-    """
-    r21, r10, rr = rates.r21, rates.r10, rates.r_repump
-    return np.array(
-        [[-2.0 * rr, r10, 0.0], [2.0 * rr, -r10 - rr, r21], [0.0, rr, -r21]]
-    )
 
 
 def guard_load(rates: TransitionRates, dt: float) -> float:
@@ -107,8 +96,11 @@ def expm(r21, r10, r_repump, dt: float) -> np.ndarray:
     exactly, and a dt far beyond every relaxation time gives the
     stationary distribution in every column.
     The entries are computed elementwise over cells (no matrix products or
-    reductions), so a cell's bits do not depend on the rest of the batch.
+    reductions), so a cell's bits do not depend on the rest of the batch
+    and a slice equals the scalar call's bits. dt must be >= 0.
     """
+    if dt < 0.0:
+        raise ValueError("dt must be >= 0")
     r21, r10, rr = np.broadcast_arrays(
         *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
     )
@@ -150,56 +142,30 @@ def expm(r21, r10, r_repump, dt: float) -> np.ndarray:
     return np.moveaxis(t, (0, 1), (-2, -1)).reshape(shape + (3, 3))
 
 
-def step_matrices(r21, r10, r_repump, dt: float, method: str) -> np.ndarray:
-    """One bin's transition matrices for rates broadcast together, stacked
-    as (..., 3, 3). Every belief propagation builds its matrices here, and
-    this is the one check of ``method``.
+def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
+    """Linearized one-step transition matrix I + dt*G.
 
-    "linear" is I + dt*G with unpinned columns. Its guard is checked on the
-    load of the rate maxima: the load rises with every rate, so for one cell
-    or a full grid that is the largest cell load. "exact" is exp(dt*G) from
-    expm(), which works cell by cell, so a slice equals the scalar call's
-    bits and every entry is >= 0.
+    The guard is checked first: GuardViolatedError unless the load is
+    below GUARD_LIMIT. Columns are pinned to sum to exactly 1.0 in floating
+    point; entries are non-negative whenever the guard holds, which also
+    makes each column's diagonal its largest entry (the one the pinning
+    adjusts).
     """
     if dt < 0.0:
         raise ValueError("dt must be >= 0")
-    if method == "exact":
-        return expm(r21, r10, r_repump, dt)
-    if method != "linear":
-        raise ValueError(f"unknown propagation method {method!r}")
-    r21, r10, rr = np.broadcast_arrays(
-        *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
-    )
-    load = guard_load(TransitionRates(r21.max(), r10.max(), rr.max()), dt)
+    load = guard_load(rates, dt)
     if not load < GUARD_LIMIT:
         raise GuardViolatedError(
             f"linearized propagation invalid: max rate * dt = {load:.3g} >= {GUARD_LIMIT}"
         )
+    r21, r10, rr = float(rates.r21), float(rates.r10), float(rates.r_repump)
     a = 2.0 * rr * dt
     b = r10 * dt
     c = rr * dt
     d = r21 * dt
-    m = np.zeros(r21.shape + (3, 3))
-    m[..., 0, 0] = 1.0 - a
-    m[..., 1, 0] = a
-    m[..., 0, 1] = b
-    m[..., 1, 1] = 1.0 - (b + c)
-    m[..., 2, 1] = c
-    m[..., 1, 2] = d
-    m[..., 2, 2] = 1.0 - d
-    return m
-
-
-def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
-    """Linearized one-step transition matrix I + dt*G.
-
-    Columns are pinned to sum to exactly 1.0 in floating point; entries are
-    non-negative whenever the validity guard holds, which also makes each
-    column's diagonal its largest entry (the one the pinning adjusts).
-    """
-    m = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "linear")
+    cols = ([1.0 - a, a, 0.0], [b, 1.0 - (b + c), c], [0.0, d, 1.0 - d])
     return np.array(
-        [[0.0 if x == 0.0 else x for x in pin_unit_sum(col.tolist())] for col in m.T]
+        [[0.0 if x == 0.0 else x for x in pin_unit_sum(col)] for col in cols]
     ).T
 
 
@@ -207,13 +173,17 @@ def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
 def transition_matrix(
     r21: float, r10: float, rr: float, dt: float, method: str
 ) -> np.ndarray:
-    """One bin's belief transition matrix (step_matrix for "linear", else
-    step_matrices), built once per (rates, dt, method) and shared read-only;
-    a guard violation raises on every call, since exceptions are not cached."""
+    """One bin's belief transition matrix, step_matrix for "linear" and
+    expm for "exact", built once per (rates, dt, method) and
+    shared read-only. This is the one check of ``method``: any other value
+    raises ValueError. A guard violation raises on every call, since
+    exceptions are not cached."""
     if method == "linear":
         m = step_matrix(TransitionRates(r21, r10, rr), dt)
+    elif method == "exact":
+        m = expm(r21, r10, rr, dt)
     else:
-        m = step_matrices(r21, r10, rr, dt, method)
+        raise ValueError(f"unknown propagation method {method!r}")
     m.flags.writeable = False
     return m
 

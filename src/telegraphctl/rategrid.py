@@ -3,23 +3,23 @@ a discrete grid.
 
 The generalized distribution p(alpha, r21, r10, r_repump) lives on a dense
 array of shape (3, n21, n10, nr). Each bin update propagates every rate
-cell's state slice with that cell's one-bin step (linearized, or the exact
-matrix exponential), multiplies by the count likelihood (which depends on
-alpha only; rate information enters purely through the propagation
-coupling), and renormalizes the whole grid. Likelihoods are computed in the
-log domain and the grid is renormalized every bin, so thousands of
-multiplicative updates cannot underflow.
+cell's state slice with that cell's exact one-bin step exp(dt*G) (there is
+no linearized grid step: over thousands of bins its error biases the rates
+low), multiplies by the count likelihood (which depends on alpha only; rate
+information enters purely through the propagation coupling), and
+renormalizes the whole grid. Likelihoods are computed in the log domain
+and the grid is renormalized every bin, so thousands of multiplicative
+updates cannot underflow.
 
-Both methods share one propagator: every cell's matrix from
-filtering.step_matrices, stored flat as (3, 3, cells). Per bin that makes
-three passes over the grid: one einsum over the propagator, one gemv for
-the (alpha, r21) row sums of the propagated grid, and one scale of each
-state slab by w_alpha / total. Weighted by w and summed over alpha, the
-row sums are the r21 marginal, and their sum is the total. The stopping
-rule checks r21 first; r10 and r_repump take one more gemv, made only on
-bins that need them: where r21 passes the threshold, and on history,
-snapshot and stop bins. The moments come from cached per-axis rows
-(v, v*v).
+The propagator holds every cell's matrix from filtering.expm, stored flat
+as (3, 3, cells). Per bin that makes three passes over the grid: one
+einsum over the propagator, one gemv for the (alpha, r21) row sums of the
+propagated grid, and one scale of each state slab by w_alpha / total.
+Weighted by w and summed over alpha, the row sums are the r21 marginal,
+and their sum is the total. The stopping rule checks r21 first; r10 and
+r_repump take one more gemv, made only on bins that need them: where r21
+passes the threshold, and on history, snapshot and stop bins. The moments
+come from cached per-axis rows (v, v*v).
 
 Rates are estimated in the open-loop weak-repumping regime (no continuous
 depumping), so the grid spans (r21, r10, r_repump) only.
@@ -34,13 +34,12 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import filtering
 from .errors import AllZeroError, CapExceededError, ZeroMeanError
-from .filtering import GUARD_LIMIT, guard_load, step_matrices
 from .model import (
     Belief,
     PhotonCountModel,
     TraceRecord,
-    TransitionRates,
     log_likelihoods,
     normalize,
 )
@@ -154,23 +153,23 @@ def init_flat(spec: GridSpec, initial_states: Belief) -> RateGrid:
 
 
 class _Propagator:
-    """Every cell's one-bin step (linearized or exact), stored flat,
+    """Every cell's exact one-bin step exp(dt*G), stored flat,
     p[i, j, cell], with cells in the grid's C order."""
 
-    def __init__(self, spec: GridSpec, dt: float, method: str):
+    def __init__(self, spec: GridSpec, dt: float):
         rates = np.meshgrid(*(spec.axis(n).values() for n in RATE_NAMES), indexing="ij")
-        m = step_matrices(*rates, dt, method).reshape(-1, 3, 3)
+        # through the module, so a counter patched onto filtering.expm sees it
+        m = filtering.expm(*rates, dt).reshape(-1, 3, 3)
         self.p = np.ascontiguousarray(m.transpose(1, 2, 0))
 
     def apply(self, joint: np.ndarray, out: np.ndarray) -> None:
-        # p >= 0 (guarded linear entries; exact ones sum non-negative terms)
-        # and joint >= 0, so out >= 0
+        # p >= 0 (sums of non-negative terms) and joint >= 0, so out >= 0
         np.einsum("ijn,jn->in", self.p, joint.reshape(3, -1), out=out.reshape(3, -1))
 
 
 @functools.lru_cache(maxsize=16)
-def _propagator(spec: GridSpec, dt: float, method: str) -> _Propagator:
-    return _Propagator(spec, dt, method)
+def _propagator(spec: GridSpec, dt: float) -> _Propagator:
+    return _Propagator(spec, dt)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -236,17 +235,12 @@ def _step(
     return _ones(3) @ _row_sums(out)
 
 
-def update(
-    grid: RateGrid,
-    n: int,
-    model: PhotonCountModel,
-    dt: float,
-    method: str = "linear",
-) -> RateGrid:
-    """One generalized Bayes step: per-cell prior propagation over dt, then
-    reweighting by p(n | alpha), then renormalization of the whole grid."""
+def update(grid: RateGrid, n: int, model: PhotonCountModel, dt: float) -> RateGrid:
+    """One generalized Bayes step: per-cell exact prior propagation over
+    dt, then reweighting by p(n | alpha), then renormalization of the whole
+    grid."""
     out = np.empty(grid.joint.shape)  # C order: _step works on flat views
-    _step(_propagator(grid.spec, dt, method), grid.joint, out, model, n)
+    _step(_propagator(grid.spec, dt), grid.joint, out, model, n)
     return RateGrid(grid.spec, out)
 
 
@@ -374,10 +368,10 @@ def run_estimation(
     stop_at_trigger: bool = False,
     history_every: int = 100,
     snapshot_every: Optional[int] = None,
-    method: Optional[str] = None,
+    method: str = "exact",
     keep_grid: bool = False,
 ) -> EstimationResult:
-    """Stream a recorded trace through the grid update.
+    """Stream a recorded trace through the exact grid update.
 
     The stopping rule is evaluated after every bin. With stop_at_trigger the
     acquisition truncates there (the experimental protocol); otherwise the
@@ -386,20 +380,19 @@ def run_estimation(
     finite number >= 0: NaN or infinity would fire at the first bin, and a
     negative threshold never.
 
-    method defaults to the linearized step whenever every grid cell
-    satisfies the validity guard for dt, and to the exact matrix-exponential
-    step otherwise. An AllZeroError names the bin it arose in.
+    The grid always propagates exactly; ``method`` stays for callers that
+    name it, and any value but "exact" raises ValueError. An AllZeroError
+    names the bin it arose in.
     """
+    if method != "exact":
+        raise ValueError(f"the rate grid propagates exactly only, got method {method!r}")
     if not 0.0 <= stop_threshold < math.inf:  # NaN too
         raise ValueError(
             f"stop_threshold must be a finite number >= 0, got {stop_threshold!r}"
         )
     if any(rec.pulse for rec in records):
         raise ValueError("rate estimation expects open-loop traces without pulses")
-    if method is None:
-        top = TransitionRates(spec.r21.max, spec.r10.max, spec.r_repump.max)
-        method = "linear" if guard_load(top, dt) < GUARD_LIMIT else "exact"
-    prop = _propagator(spec, dt, method)
+    prop = _propagator(spec, dt)
     joint = init_flat(spec, initial_states).joint
     buf = np.empty_like(joint)
     grid = RateGrid(spec, joint)

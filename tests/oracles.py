@@ -283,13 +283,13 @@ def reference_marginal_rates(grid: RateGrid) -> RateMarginals:
 
 
 def reference_run_estimation(
-    records, spec, model, dt, method, stop_threshold=0.10, history_every=100
+    records, spec, model, dt, stop_threshold=0.10, history_every=100
 ):
     """(stop_bin, marginals at the stop, rms history, final joint, every
     bin's marginals) from the separate-pass step, with all three marginals
     computed from the whole grid on every bin and the stop rule read from
     them; every axis must have a positive mean."""
-    prop = _propagator(spec, dt, method)
+    prop = _propagator(spec, dt)
     grid = init_flat(spec, Belief(0.0, 0.0, 1.0))
     stop_bin = at_stop = None
     history, per_bin = [], []

@@ -38,12 +38,12 @@ from telegraphctl.control import (
 from telegraphctl.experiments import observe_chain, run_closed_loop_ensemble
 from telegraphctl.filtering import (
     FilterConfig,
+    expm,
     guard_load,
     posterior_update,
     propagate_prior,
     pulse_matrix,
     run_filter,
-    step_matrices,
     step_matrix,
 )
 from telegraphctl.model import Belief, PhotonCountModel, Pulse, TransitionRates, normalize
@@ -468,17 +468,18 @@ def test_criterion_8_oracle_suite():
         dt = 1e-3 if guard_load(rates, 1e-3) < 0.5 else 1e-4
         load = guard_load(rates, dt)
         lin = step_matrix(rates, dt)
-        ex = step_matrices(rates.r21, rates.r10, rates.r_repump, dt, "exact")
+        ex = expm(rates.r21, rates.r10, rates.r_repump, dt)
         for _ in range(200):
             p = rng.dirichlet(np.ones(3))
             if np.abs(lin @ p - ex @ p).max() >= load * load:
                 failures.append("linearization error bound violated")
                 break
 
-    # degenerate single-cell grid reproduces the plain filter to 1e-12
+    # degenerate single-cell grid reproduces the plain exact filter to 1e-12
     sim = SimConfig(PAPER_RATES, DEFAULT_MODEL, 1e-3, 10_000, 2, 13579)
     records = run_trace(sim)
-    beliefs = run_filter(records, FilterConfig(DEFAULT_MODEL, PAPER_RATES, 1e-3))
+    exact = FilterConfig(DEFAULT_MODEL, PAPER_RATES, 1e-3, propagation="exact")
+    beliefs = run_filter(records, exact)
     spec = GridSpec(
         r21=GridAxis(35.0, 35.0, 1),
         r10=GridAxis(50.0, 50.0, 1),

@@ -21,10 +21,9 @@ from telegraphctl.errors import (
     NeverReachedError,
     NoEpisodesError,
 )
-from telegraphctl.filtering import generator
 from telegraphctl.model import Belief, TransitionRates
 
-from oracles import stationary_from_nullspace
+from oracles import full_generator, stationary_from_nullspace
 
 DELTA2 = Belief(0.0, 0.0, 1.0)
 
@@ -47,7 +46,7 @@ class TestIntegrateRateEquations:
         assert np.allclose(traj, [0.2, 0.3, 0.5], atol=1e-15)
 
     def test_converges_to_stationary(self, paper_rates):
-        p_stat = stationary_from_nullspace(generator(paper_rates))
+        p_stat = stationary_from_nullspace(full_generator(paper_rates))
         traj = integrate_rate_equations(DELTA2, paper_rates, 1.0, 1e-3)
         assert np.abs(traj[-1] - p_stat).max() < 1e-9
         assert stationary_belief(paper_rates).p1 == pytest.approx(
@@ -88,7 +87,7 @@ class TestSweep:
         base = TransitionRates(paper_rates.r21, paper_rates.r10, 0.0)
         curve = sweep_repump_rate(base, [0.0], 0.3)
         # oracle: continuous-time average of the pure decay chain
-        g = generator(base)
+        g = full_generator(base)
         fine = np.linspace(0, 0.3, 30001)
         p1 = [expm(g * t)[1, 2] for t in fine[::100]]
         assert curve[0][1] == pytest.approx(np.mean(p1), abs=5e-3)

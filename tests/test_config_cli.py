@@ -15,6 +15,7 @@ from telegraphctl.config import (
 )
 from telegraphctl.errors import ConfigError, TraceFormatError
 from telegraphctl.model import Pulse, TraceRecord
+from telegraphctl.rategrid import run_estimation
 from telegraphctl.traceio import (
     config_digest,
     format_trace,
@@ -456,6 +457,30 @@ class TestCli:
         assert report["reports"][0]["converged"] is True
         assert report["reports"][0]["rates_per_s"]["r21"]["mean"] == 35.0
         assert (out / "posterior_evolution.csv").exists()
+
+    def test_estimate_rates_default_reports_exact_grid(self, out, tmp_path):
+        # the default filter.propagation is "linear", but the rate grid
+        # always propagates exactly
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--traces", "1", "--bins", "300", "--out", str(sim_out)]) == 0
+        trace = sim_out / "trace_0000.csv"
+        with pytest.warns(UserWarning, match="stopping rule"):
+            assert main(["estimate-rates", str(trace), "--out", str(out)]) == 3
+        cfg = ExperimentConfig()
+        assert cfg.propagation == "linear"
+        expected = run_estimation(
+            read_trace(trace),
+            cfg.grid,
+            cfg.filter_photon_model(),
+            cfg.bin_time,
+            initial_states=cfg.initial_belief,
+            method="exact",
+        ).final_marginals
+        report = json.loads((out / "rates_report.json").read_text())
+        assert report["reports"][0]["rates_per_s"] == {
+            name: {"mean": post.mean, "rms": post.rms}
+            for name, post in expected.as_dict().items()
+        }
 
     def test_estimate_rates_empty_trace_not_converged(self, out, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -101,6 +101,18 @@ def test_all_lists_each_public_name_once_and_no_submodule():
     assert sorted(telegraphctl.__all__) == sorted(public)
 
 
+def test_all_exports_every_public_exception():
+    public = [
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and not name.startswith("_")
+    ]
+    assert public
+    assert sorted(set(public) - set(telegraphctl.__all__)) == []
+
+
 # What the benchmark harness wraps in timing spans, counts per call or
 # patches per run, looked up as the program's own callers look them up; a
 # missing one breaks its traced pass.
@@ -154,3 +166,18 @@ BENCHMARK_READS = [
 )
 def test_benchmark_names_exist(owner, name):
     assert hasattr(owner, name)
+
+
+def test_benchmark_estimation_call_runs():
+    # the openloop-estimate workload's call, keywords included, on one bin
+    cfg = config.ExperimentConfig()
+    result = rategrid.run_estimation(
+        [model.TraceRecord(0, 28)],
+        cfg.grid,
+        cfg.filter_photon_model(),
+        cfg.bin_time,
+        initial_states=cfg.initial_belief,
+        history_every=100,
+        method="exact",
+    )
+    assert result.n_bins == 1

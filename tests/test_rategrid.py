@@ -6,19 +6,8 @@ import pytest
 
 from oracles import reference_marginal_rates, reference_run_estimation
 from telegraphctl import rategrid
-from telegraphctl.errors import (
-    AllZeroError,
-    CapExceededError,
-    GuardViolatedError,
-    ZeroMeanError,
-)
-from telegraphctl.filtering import (
-    GUARD_LIMIT,
-    FilterConfig,
-    guard_load,
-    run_filter,
-    step_matrices,
-)
+from telegraphctl.errors import AllZeroError, CapExceededError, ZeroMeanError
+from telegraphctl.filtering import FilterConfig, expm, run_filter
 from telegraphctl.model import (
     Belief,
     PhotonCountModel,
@@ -195,28 +184,6 @@ class TestUpdate:
                 assert post.rms >= 0.0
                 assert 2.0 <= post.mean <= 150.0
 
-    def test_guard_violated_on_coarse_bins(self, default_model):
-        grid = init_flat(GridSpec(), DELTA2)
-        with pytest.raises(GuardViolatedError):
-            update(grid, 16, default_model, 3e-3)
-
-    def test_exact_mode_matches_linear_at_small_dt(self, default_model):
-        spec = GridSpec(
-            r21=GridAxis(20.0, 50.0, 3),
-            r10=GridAxis(40.0, 60.0, 3),
-            r_repump=GridAxis(50.0, 70.0, 3),
-        )
-        grid = init_flat(spec, DELTA2)
-        a = update(grid, 20, default_model, 1e-4, method="linear")
-        b = update(grid, 20, default_model, 1e-4, method="exact")
-        top = TransitionRates(spec.r21.max, spec.r10.max, spec.r_repump.max)
-        assert np.abs(a.joint - b.joint).max() < guard_load(top, 1e-4) ** 2
-
-    def test_unknown_method_rejected(self, default_model):
-        grid = init_flat(SMALL_SPEC, DELTA2)
-        with pytest.raises(ValueError, match="bogus"):
-            update(grid, 20, default_model, 1e-3, method="bogus")
-
     def test_exact_mode_allows_coarse_bins(self, default_model):
         spec = GridSpec(
             r21=GridAxis(20.0, 50.0, 3),
@@ -225,16 +192,17 @@ class TestUpdate:
         )
         grid = init_flat(spec, DELTA2)
         coarse_model = default_model.rescaled(10e-3)
-        out = update(grid, 280, coarse_model, 10e-3, method="exact")
+        out = update(grid, 280, coarse_model, 10e-3)
         assert out.joint.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(out.joint >= 0.0)
 
 
 def test_degenerate_grid_reproduces_plain_filter(default_model, paper_rates):
-    # a 1x1x1 rate grid at the true rates is exactly the plain filter
+    # a 1x1x1 rate grid at the true rates is exactly the plain exact filter
     sim = SimConfig(paper_rates, default_model, 1e-3, 10_000, 2, 86420)
     records = run_trace(sim)
-    beliefs = run_filter(records, FilterConfig(default_model, paper_rates, 1e-3))
+    config = FilterConfig(default_model, paper_rates, 1e-3, propagation="exact")
+    beliefs = run_filter(records, config)
     grid = init_flat(single_cell_spec(paper_rates), DELTA2)
     worst = 0.0
     for rec, belief in zip(records, beliefs):
@@ -287,7 +255,7 @@ class TestRunEstimation:
         # the stop result. marginal_rates runs once, for the final result.
         records = run_trace(SimConfig(paper_rates, default_model, 1e-3, 250, 2, 9))
         first_stop, *_, per_bin = reference_run_estimation(
-            records, spec, default_model, 1e-3, "linear", threshold
+            records, spec, default_model, 1e-3, threshold
         )
         r21_passes = [m.r21.rms / m.r21.mean <= threshold for m in per_bin]
 
@@ -335,9 +303,11 @@ class TestRunEstimation:
         assert len(result.rms_history) == len(range(100, n + 1, 100))
 
     def test_unknown_method_rejected(self, default_model):
+        # the grid propagates exactly; the keyword names no other method
         records = [TraceRecord(0, 30)]
-        with pytest.raises(ValueError, match="bogus"):
-            run_estimation(records, SMALL_SPEC, default_model, 1e-3, method="bogus")
+        for method in ("bogus", "linear"):
+            with pytest.raises(ValueError, match=repr(method)):
+                run_estimation(records, SMALL_SPEC, default_model, 1e-3, method=method)
 
     def test_single_cell_converges_instantly(self, default_model, paper_rates):
         sim = SimConfig(paper_rates, default_model, 1e-3, 50, 2, 10)
@@ -392,38 +362,24 @@ class TestRunEstimation:
 
 
 class TestExactPropagator:
-    @pytest.mark.parametrize(
-        "spec, method",
-        [
-            (ZERO_RATE_SPEC, "exact"),
-            (SMALL_SPEC, "exact"),
-            (ZERO_RATE_SPEC, "linear"),
-            (SMALL_SPEC, "linear"),
-        ],
-        ids=["7x1x6", "3x3x3", "7x1x6-linear", "3x3x3-linear"],
-    )
+    @pytest.mark.parametrize("spec", [ZERO_RATE_SPEC, SMALL_SPEC], ids=["7x1x6", "3x3x3"])
     @pytest.mark.parametrize("dt", [0.0, 0.3e-3, 1e-3, 10e-3])
-    def test_matches_per_cell_exact_step_matrix(self, spec, dt, method):
+    def test_matches_per_cell_exact_step_matrix(self, spec, dt):
         # the one batched build must give every cell exactly the bits of a
-        # single scalar step_matrices call (unpinned in the linear mode)
-        top = TransitionRates(spec.r21.max, spec.r10.max, spec.r_repump.max)
-        if method == "linear" and guard_load(top, dt) >= GUARD_LIMIT:
-            with pytest.raises(GuardViolatedError):
-                _propagator(spec, dt, method)
-            return
-        p = _propagator(spec, dt, method).p
+        # single scalar expm call
+        p = _propagator(spec, dt).p
         assert p.shape == (3, 3, spec.n_cells // 3)
         for flat, cell in enumerate(np.ndindex(spec.shape)):
-            expected = step_matrices(*cell_rates(spec, cell), dt, method)
+            expected = expm(*cell_rates(spec, cell), dt)
             assert p[:, :, flat].tobytes() == expected.tobytes(), (cell, dt)
 
     def test_apply_matches_per_cell_product(self):
         rng = np.random.default_rng(3)
         joint = rng.random((3,) + ZERO_RATE_SPEC.shape)
         out = np.empty_like(joint)
-        _propagator(ZERO_RATE_SPEC, 1e-3, "exact").apply(joint, out)
+        _propagator(ZERO_RATE_SPEC, 1e-3).apply(joint, out)
         for cell in np.ndindex(ZERO_RATE_SPEC.shape):
-            m = step_matrices(*cell_rates(ZERO_RATE_SPEC, cell), 1e-3, "exact")
+            m = expm(*cell_rates(ZERO_RATE_SPEC, cell), 1e-3)
             col = joint[(slice(None),) + cell]
             expected = [math.fsum(m[i] * col) for i in range(3)]
             assert np.allclose(out[(slice(None),) + cell], expected, rtol=1e-15, atol=0)
@@ -435,7 +391,7 @@ def _reference_update(grid, n, model, dt):
     prior = np.empty_like(grid.joint)
     for cell in np.ndindex(grid.spec.shape):
         idx = (slice(None),) + cell
-        m = step_matrices(*cell_rates(grid.spec, cell), dt, "exact")
+        m = expm(*cell_rates(grid.spec, cell), dt)
         prior[idx] = m @ grid.joint[idx]
     logl = np.array(log_likelihoods(model, n))
     weighted = prior * np.exp(logl - logl.max())[:, None, None, None]
@@ -456,9 +412,9 @@ class TestHostileCounts:
             expected = _reference_update(grid, n, default_model, dt)
         except AllZeroError:
             with pytest.raises(AllZeroError):
-                update(grid, n, default_model, dt, method="exact")
+                update(grid, n, default_model, dt)
             return
-        out = update(grid, n, default_model, dt, method="exact")
+        out = update(grid, n, default_model, dt)
         assert np.all(np.isfinite(out.joint))
         assert out.joint.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out.joint, expected, rtol=1e-12, atol=1e-300)
@@ -481,7 +437,7 @@ class TestHostileCounts:
         grid = init_flat(SMALL_SPEC, DELTA2)
         logl = log_likelihoods(default_model, 820)
         assert 0.0 < math.exp(logl[2] - logl[0]) < np.finfo(float).tiny
-        out = update(grid, 820, default_model, 0.0, method="exact")
+        out = update(grid, 820, default_model, 0.0)
         assert marginal_states(out) == DELTA2
 
 
@@ -597,28 +553,18 @@ def _assert_matches_reference(result, reference):
 
 class TestFusedStepMatchesReference:
     @pytest.mark.parametrize(
-        "spec, method, n_bins",
-        [
-            (GridSpec(), "exact", 5100),
-            (GridSpec(), "linear", 1000),
-            (SMALL_SPEC, "linear", 1000),
-        ],
-        ids=["25^3-exact-5100", "25^3-linear-1000", "3x3x3-linear-1000"],
+        "spec, n_bins",
+        [(GridSpec(), 5100), (SMALL_SPEC, 1000)],
+        ids=["25^3-exact-5100", "3x3x3-exact-1000"],
     )
-    def test_simulated_trace(self, default_model, paper_rates, spec, method, n_bins):
-        # 0.3 fires mid-trace on all three, so the stop marginals are compared
+    def test_simulated_trace(self, default_model, paper_rates, spec, n_bins):
+        # 0.3 fires mid-trace on both, so the stop marginals are compared
         records = run_trace(SimConfig(paper_rates, default_model, 1e-3, n_bins, 2, 9))
         result = run_estimation(
-            records,
-            spec,
-            default_model,
-            1e-3,
-            stop_threshold=0.3,
-            method=method,
-            keep_grid=True,
+            records, spec, default_model, 1e-3, stop_threshold=0.3, keep_grid=True
         )
         assert result.stop_bin is not None and len(result.rms_history) == n_bins // 100
-        reference = reference_run_estimation(records, spec, default_model, 1e-3, method, 0.3)
+        reference = reference_run_estimation(records, spec, default_model, 1e-3, 0.3)
         _assert_matches_reference(result, reference)
 
     def test_subnormal_totals(self, default_model):
@@ -629,7 +575,7 @@ class TestFusedStepMatchesReference:
             kwargs = dict(stop_threshold=0.5, history_every=history_every)
             try:
                 reference = reference_run_estimation(
-                    records, SMALL_SPEC, default_model, 0.0, "linear", **kwargs
+                    records, SMALL_SPEC, default_model, 0.0, **kwargs
                 )
             except AllZeroError:
                 with pytest.raises(AllZeroError):
@@ -670,7 +616,7 @@ class TestFusedStepMatchesReference:
             assert (m.r_repump.mean, m.r_repump.rms) == (paper_rates.r_repump, 0.0)
         assert all(row[1] == 0.0 and row[3] == 0.0 for row in result.rms_history)
         reference = reference_run_estimation(
-            records, spec, default_model, 1e-3, "linear", 0.6, history_every=10
+            records, spec, default_model, 1e-3, 0.6, history_every=10
         )
         _assert_matches_reference(result, reference)
 
@@ -688,7 +634,6 @@ def test_estimation_allocates_no_grid_per_bin(default_model, paper_rates):
             spec,
             default_model,
             1e-3,
-            method="exact",
             history_every=50,
             snapshot_every=100,
         )
