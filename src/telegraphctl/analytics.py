@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyEnsembleError, NeverReachedError, NoEpisodesError
 from .filtering import transition_matrix
-from .model import Belief, TransitionRates, normalize
+from .model import Belief, TransitionRates, exit_rates, normalize
 
 TARGET_STATE = 1
 
@@ -58,13 +58,15 @@ def integrate_rate_equations(
 
 
 def stationary_belief(rates: TransitionRates) -> Belief:
-    """Fixed point of the rate-equation generator, from the closed form
-    p1 = 1 / (1 + r10/(2*rr) + rr/r21) (requires all three rates > 0)."""
-    r21, r10, rr = rates.r21, rates.r10, rates.r_repump
-    if min(r21, r10, rr) <= 0.0:
+    """Fixed point of the belief model's generator (no continuous
+    depumping), by detailed balance: p0 = down1/up0 * p1 and
+    p2 = up1/down2 * p1 (requires r21, r10 and rr > 0)."""
+    up0, up1, down1, down2 = exit_rates(rates.r21, rates.r10, rates.r_repump)
+    if min(up0, down1, down2) <= 0.0:
         raise ValueError("closed-form stationary state needs positive rates")
-    p1 = 1.0 / (1.0 + r10 / (2.0 * rr) + rr / r21)
-    return normalize((r10 / (2.0 * rr) * p1, p1, rr / r21 * p1))
+    lower, upper = down1 / up0, up1 / down2
+    p1 = 1.0 / (1.0 + lower + upper)
+    return normalize((lower * p1, p1, upper * p1))
 
 
 def optimal_repump_rate(rates: TransitionRates) -> float:

@@ -33,7 +33,13 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .errors import AllZeroError, ConfigError, NotConvergedWarning, TelegraphError
+from .errors import (
+    AllZeroError,
+    ConfigError,
+    NotConvergedWarning,
+    TelegraphError,
+    TraceFormatError,
+)
 from .experiments import run_closed_loop_ensemble, run_open_loop_ensemble
 from .filtering import run_filter
 from .model import TransitionRates
@@ -186,8 +192,8 @@ def cmd_estimate_rates(args) -> int:
                 stop_at_trigger=True,
                 snapshot_every=max(1, len(records) // 10),
             )
-        except AllZeroError as exc:
-            raise AllZeroError(f"{path}: {exc}") from None
+        except (AllZeroError, TraceFormatError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         marg = result.reported_marginals()
         if not result.converged:
             all_converged = False
@@ -297,6 +303,10 @@ def cmd_sweep(args) -> int:
         _require(0.0 <= r < math.inf, flag, r, "a finite rate >= 0")
     _require(args.r_steps >= 1, "--r-steps", args.r_steps, ">= 1")
     cfg = _load_config(args)
+    # the stationary closed form divides by both decay rates
+    rates = cfg.rates
+    for key, r in (("rates.r21_per_s", rates.r21), ("rates.r10_per_s", rates.r10)):
+        _require(r > 0.0, key, r, "> 0 for the stationary sweep")
     duration = args.duration_ms * 1e-3
     _require(
         0.0 < duration < math.inf and round(duration / cfg.bin_time) >= 1,

@@ -3,21 +3,23 @@ prior propagation, and pulse matrices with the pulse-conditioned belief
 transforms built on them.
 
 Propagation applies one bin's transition matrix for the rate-equation
-generator G. There are two builders, and transition_matrix is the one
-place that chooses between them by ``method``. step_matrix is the
-linearized step I + dt*G for one rate triple, valid while
-max(2*Rr, R10+Rr, R21) * dt < 0.5; expm is the exact step exp(dt*G) for
-rates broadcast together, by uniformization: a Taylor series of
-non-negative terms, scaled and squared, so every entry is computed
-without cancellation. The rate grid (rategrid) always uses the exact
-builder. Continuous depumping is deliberately absent from G (in the
-belief model it acts through pulses only) while the simulator supports
-it, which keeps the mismatch testable. Rates, dt and the pulse transition
-probabilities are fixed for a run, so each (rates, dt, method) transition
-matrix and each (T, direction) pulse matrix is built once and shared
-read-only; the optimal policy picks a new T on every bin, so its pulse
-matrix is built afresh (pulsed_belief_once). The per-count
-log-likelihoods come from the memoized table in model.log_likelihoods.
+generator G, whose channel rates come from model.exit_rates. There are
+two builders, and transition_matrix is the one place that chooses between
+them by ``method``. step_matrix is the linearized step I + dt*G for one
+rate triple, valid while guard_load, the largest exit total times dt, is
+below 0.5; expm is the exact step exp(dt*G) for rates broadcast together,
+by uniformization: a Taylor series of non-negative terms, scaled and
+squared, so every entry is computed without cancellation. The rate grid
+(rategrid) always uses the exact builder. Continuous depumping is
+deliberately absent from G (the builders leave exit_rates' r_depump at 0:
+in the belief model depumping acts through pulses only) while the
+simulator supports it, which keeps the mismatch testable.
+Rates, dt and the pulse transition probabilities are fixed for a run, so
+each (rates, dt, method) transition matrix and each (T, direction) pulse
+matrix is built once and shared read-only; the optimal policy picks a new
+T on every bin, so its pulse matrix is built afresh (pulsed_belief_once).
+The per-count log-likelihoods come from the memoized table in
+model.log_likelihoods.
 
 The per-bin steps (propagate_prior, posterior_update, pulsed_belief, and
 through them run_filter and trace_log_likelihood) normalize with
@@ -45,6 +47,7 @@ from .model import (
     Pulse,
     TraceRecord,
     TransitionRates,
+    exit_rates,
     log_likelihoods,
     normalize,
     normalize_unchecked,
@@ -58,8 +61,10 @@ _NONE, _REPUMP, _DEPUMP = Pulse.NONE, Pulse.REPUMP, Pulse.DEPUMP
 
 
 def guard_load(rates: TransitionRates, dt: float) -> float:
-    """Linearization load; must stay below GUARD_LIMIT."""
-    return max(2.0 * rates.r_repump, rates.r10 + rates.r_repump, rates.r21) * dt
+    """Linearization load, the largest exit total of G times dt; must stay
+    below GUARD_LIMIT."""
+    up0, up1, down1, down2 = exit_rates(rates.r21, rates.r10, rates.r_repump)
+    return max(up0, up1 + down1, down2) * dt
 
 
 # Taylor terms of exp(B) for ||B||_1 = x < 1. The tests hold every entry
@@ -85,7 +90,7 @@ def expm(r21, r10, r_repump, dt: float) -> np.ndarray:
     """exp(dt*G) for rates broadcast together, stacked as (..., 3, 3), by
     uniformization with scaling and squaring.
 
-    Per cell, c = dt * max(2*Rr, R10+Rr, R21) and s >= 0 is the least
+    Per cell, c = dt * (largest exit total) and s >= 0 is the least
     power of two with x = c / 2**s < 1. B = (dt / 2**s) * G + x*I is
     non-negative and its columns sum to x. The Taylor series of exp(B),
     summed by Horner to a fixed number of terms, has columns summing to
@@ -105,16 +110,16 @@ def expm(r21, r10, r_repump, dt: float) -> np.ndarray:
         *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
     )
     shape = r21.shape
-    r21, r10, rr = r21.ravel(), r10.ravel(), rr.ravel()
-    d0 = 2.0 * rr
-    d1 = r10 + rr
-    dmax = np.maximum(np.maximum(d0, d1), r21)
+    up0, up1, down1, down2 = exit_rates(r21.ravel(), r10.ravel(), rr.ravel())
+    d1 = up1 + down1
+    dmax = np.maximum(np.maximum(up0, d1), down2)
     s = np.maximum(np.frexp(dt * dmax)[1], 0)
     h = np.ldexp(dt, -s)
     x = h * dmax  # h * d <= x for every diagonal rate d, so B >= 0
     n = x.size
     b00, b10, b01, b11, b21, b12, b22 = (
-        x - h * d0, h * d0, h * r10, x - h * d1, h * rr, h * r21, x - h * r21
+        x - h * up0, h * up0, h * down1, x - h * d1,
+        h * up1, h * down2, x - h * down2,
     )
     t = np.zeros((3, 3, n))
     t[0, 0], t[1, 0], t[0, 1], t[1, 1] = b00, b10, b01, b11
@@ -158,11 +163,8 @@ def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
         raise GuardViolatedError(
             f"linearized propagation invalid: max rate * dt = {load:.3g} >= {GUARD_LIMIT}"
         )
-    r21, r10, rr = float(rates.r21), float(rates.r10), float(rates.r_repump)
-    a = 2.0 * rr * dt
-    b = r10 * dt
-    c = rr * dt
-    d = r21 * dt
+    up0, up1, down1, down2 = exit_rates(rates.r21, rates.r10, rates.r_repump)
+    a, b, c, d = up0 * dt, down1 * dt, up1 * dt, down2 * dt
     cols = ([1.0 - a, a, 0.0], [b, 1.0 - (b + c), c], [0.0, d, 1.0 - d])
     return np.array(
         [[0.0 if x == 0.0 else x for x in pin_unit_sum(col)] for col in cols]

@@ -131,6 +131,18 @@ class TransitionRates:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 
+def exit_rates(r21, r10, r_repump, r_depump=0.0):
+    """The chain's channel rates (up0, up1, down1, down2): 0->1, 1->2, 1->0
+    and 2->1, elementwise for floats or numpy arrays. This is the one place
+    they are written. Repumping addresses the atoms in the lower level (two
+    in state 0, one in state 1); decay and depumping those in the upper
+    level (one in state 1, two in state 2), so depumping mirrors the repump
+    multiplicity. The generator G has these off the diagonal and minus each
+    column's exit total on it. The belief model leaves r_depump at 0
+    (depumping acts there through pulses only); the simulator passes it."""
+    return 2.0 * r_repump, r_repump, r10 + r_depump, r21 + 2.0 * r_depump
+
+
 @dataclass(frozen=True)
 class PhotonCountModel:
     """Per-state count distributions p(n | alpha) for one bin.

@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import filtering
-from .errors import AllZeroError, CapExceededError, ZeroMeanError
+from .errors import AllZeroError, CapExceededError, TraceFormatError, ZeroMeanError
 from .model import (
     Belief,
     PhotonCountModel,
@@ -341,9 +341,7 @@ class EstimationResult:
     n_bins: int
     stop_bin: Optional[int]  # first bin index where the stopping rule fired
     marginals_at_stop: Optional[RateMarginals]
-    states_at_stop: Optional[Belief]
     final_marginals: RateMarginals
-    final_states: Belief
     rms_history: list[tuple[int, float, float, float]]
     snapshots: list[tuple[int, dict[str, tuple[np.ndarray, np.ndarray]]]]
     final_grid: Optional[RateGrid] = None
@@ -382,7 +380,8 @@ def run_estimation(
 
     The grid always propagates exactly; ``method`` stays for callers that
     name it, and any value but "exact" raises ValueError. An AllZeroError
-    names the bin it arose in.
+    names the bin it arose in. A trace that carries a pulse raises
+    TraceFormatError, a ValueError.
     """
     if method != "exact":
         raise ValueError(f"the rate grid propagates exactly only, got method {method!r}")
@@ -391,14 +390,15 @@ def run_estimation(
             f"stop_threshold must be a finite number >= 0, got {stop_threshold!r}"
         )
     if any(rec.pulse for rec in records):
-        raise ValueError("rate estimation expects open-loop traces without pulses")
+        raise TraceFormatError(
+            "rate estimation expects open-loop traces without pulses"
+        )
     prop = _propagator(spec, dt)
     joint = init_flat(spec, initial_states).joint
     buf = np.empty_like(joint)
     grid = RateGrid(spec, joint)
     stop_bin = None
     marginals_at_stop = None
-    states_at_stop = None
     rms_history = []
     snapshots = []
     n_seen = 0
@@ -412,7 +412,6 @@ def run_estimation(
             if stop_bin is None and stopping_check(grid, stop_threshold, marg):
                 stop_bin = rec.bin_index
                 marginals_at_stop = RateMarginals._make(marg)
-                states_at_stop = marginal_states(grid)
                 if stop_at_trigger:
                     break
             if history_every and n_seen % history_every == 0:
@@ -422,15 +421,11 @@ def run_estimation(
                 snapshots.append((rec.bin_index, marg.axis_marginals()))
     except AllZeroError as exc:
         raise AllZeroError(f"bin {rec.bin_index}: {exc}") from None
-    final_marginals = marginal_rates(grid)
-    final_states = marginal_states(grid)
     return EstimationResult(
         n_bins=n_seen,
         stop_bin=stop_bin,
         marginals_at_stop=marginals_at_stop,
-        states_at_stop=states_at_stop,
-        final_marginals=final_marginals,
-        final_states=final_states,
+        final_marginals=marginal_rates(grid),
         rms_history=rms_history,
         snapshots=snapshots,
         final_grid=grid.copy() if keep_grid else None,

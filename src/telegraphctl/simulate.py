@@ -7,13 +7,11 @@ propagation rather than inherit it. Pump pulses are treated as
 instantaneous events at bin boundaries (the physical pulse is ~1.5 us,
 three orders of magnitude shorter than a bin).
 
-Channel rates out of each state: repumping addresses atoms in the lower
-level (0->1 at 2*r_repump, 1->2 at r_repump), probe decay and depumping
-address atoms in the upper level (2->1 at r21 + 2*r_depump, 1->0 at
-r10 + r_depump). The rates are fixed for a run, so the Gillespie step
+The channel rates out of each state are model.exit_rates, continuous
+depumping included. The rates are fixed for a run, so the Gillespie step
 reads a per-run channel table (the direct method): per state, the exit
-total and the cumulative channel rates, summed from exit_channels in its
-order, so the draws and their bits do not depend on the table.
+total and the cumulative rates of its channels with a positive rate, the
+up channel first.
 """
 
 from __future__ import annotations
@@ -24,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .model import (
-    STATES,
     PhotonCountModel,
     Pulse,
     TraceRecord,
     TransitionRates,
     check_state,
+    exit_rates,
 )
 from .rng import PortableRandom
 
@@ -76,28 +74,6 @@ class SimConfig:
         check_state(self.initial_state)
 
 
-def exit_channels(state: int, rates: TransitionRates) -> list[tuple[float, int]]:
-    """(rate, destination) pairs with rate > 0 leaving ``state``."""
-    check_state(state)
-    channels = []
-    if state == 0:
-        up = 2.0 * rates.r_repump
-        if up > 0.0:
-            channels.append((up, 1))
-    elif state == 1:
-        up = rates.r_repump
-        down = rates.r10 + rates.r_depump
-        if up > 0.0:
-            channels.append((up, 2))
-        if down > 0.0:
-            channels.append((down, 0))
-    else:
-        down = rates.r21 + 2.0 * rates.r_depump
-        if down > 0.0:
-            channels.append((down, 1))
-    return channels
-
-
 def step_continuous_events(
     state: int, rates: TransitionRates, dt: float, rng: PortableRandom
 ) -> tuple[int, list[tuple[float, int]]]:
@@ -132,18 +108,18 @@ def _channel_table(
     r21: float, r10: float, r_repump: float, r_depump: float
 ) -> tuple[tuple[float, ...], tuple[tuple[tuple[float, int], ...], ...]]:
     """The direct method's table (Gillespie, J. Phys. Chem. 81, 2340
-    (1977)), built once per set of rates: per state, the exit total as sum()
-    adds the rates of exit_channels, and their (cumulative rate,
-    destination) pairs in exit_channels' order."""
-    rates = TransitionRates(r21, r10, r_repump, r_depump)
+    (1977)), built once per set of rates: per state, the exit total and the
+    (cumulative rate, destination) pairs of the channels with a positive
+    rate, the up channel first; the last cumulative rate is the total."""
+    up0, up1, down1, down2 = exit_rates(r21, r10, r_repump, r_depump)
     totals, channels = [], []
-    for state in STATES:
-        exits = exit_channels(state, rates)
-        totals.append(sum(r for r, _ in exits))
+    for exits in (((up0, 1),), ((up1, 2), (down1, 0)), ((down2, 1),)):
         acc, cumulative = 0.0, []
         for r, dest in exits:
-            acc += r
-            cumulative.append((acc, dest))
+            if r > 0.0:
+                acc += r
+                cumulative.append((acc, dest))
+        totals.append(acc)
         channels.append(tuple(cumulative))
     return tuple(totals), tuple(channels)
 

@@ -388,6 +388,18 @@ class TestCli:
         assert f"error: {bad}: line 2: " in err
         assert str(good) not in err
 
+    def test_closed_loop_trace_estimate_rates_exit_2(self, out, tmp_path, capsys):
+        # rate estimation takes open-loop traces only; a feedback trace
+        # carries pulses, and is named in a runtime error
+        fb = tmp_path / "fb"
+        assert main(["feedback", "--traces", "1", "--bins", "60", "--out", str(fb)]) == 0
+        trace = fb / "trace_0000.csv"
+        assert any(rec.pulse for rec in read_trace(trace))
+        capsys.readouterr()
+        assert main(["estimate-rates", str(trace), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {trace}: rate estimation expects open-loop traces" in err
+
     @pytest.mark.parametrize("command", ["simulate", "feedback"])
     def test_infinite_bin_time_exit_1(self, out, tmp_path, capsys, command):
         # rejected before anything is simulated, on the flag and in a file
@@ -414,6 +426,16 @@ class TestCli:
         # each raised a bare ValueError or OverflowError from the sweep
         assert main(["sweep", flag, value, "--out", str(out)]) == 1
         assert f"config error: {flag} must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["rates.r21_per_s", "rates.r10_per_s"])
+    def test_zero_decay_rate_sweep_is_config_error(self, out, tmp_path, capsys, key):
+        # the stationary closed form divides by both decay rates
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(f"{key} = 0.0\n")
+        argv = ["sweep", "--r-steps", "3", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert f"config error: {key} must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])

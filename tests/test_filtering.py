@@ -184,6 +184,19 @@ def test_step_matrix_frozen_bits(rates, dt, bits):
     assert [[x.hex() for x in row] for row in m.tolist()] == [list(row) for row in bits]
 
 
+def test_guard_load_is_largest_exit_total():
+    # the largest exit total of the belief model's generator (the oracle's
+    # without depumping, which G leaves out) times dt
+    rng = np.random.default_rng(21)
+    draws = rng.uniform(0.0, 300.0, size=(500, 5))
+    draws[rng.random(draws.shape) < 0.2] = 0.0
+    for r21, r10, rr, rd, dt in draws.tolist():
+        dt *= 1e-5
+        g = full_generator(TransitionRates(r21, r10, rr))
+        load = guard_load(TransitionRates(r21, r10, rr, rd), dt)
+        assert load == max(-np.diag(g)) * dt
+
+
 def test_step_matrix_guard():
     rates = TransitionRates(35.0, 50.0, 59.0)
     with pytest.raises(GuardViolatedError):

@@ -12,12 +12,13 @@ from telegraphctl.model import (
     TraceRecord,
     TransitionRates,
     check_state,
+    exit_rates,
     log_likelihoods,
     normalize,
     normalize_unchecked,
 )
 
-from oracles import reference_normalize
+from oracles import full_generator, reference_normalize
 
 
 def _pmf(model, n, alpha):
@@ -145,6 +146,27 @@ def test_transition_rates_validation():
         TransitionRates(-1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         TransitionRates(math.nan, 0.0, 0.0)
+
+
+def test_exit_rates_build_the_oracle_generator():
+    # G laid out from exit_rates, depumping included, is the independent
+    # oracle's bit for bit, shut channels too; an array call gives the
+    # float calls' values elementwise
+    rng = np.random.default_rng(20)
+    draws = rng.uniform(0.0, 300.0, size=(500, 4))
+    draws[rng.random(draws.shape) < 0.2] = 0.0
+    for r21, r10, rr, rd in draws.tolist():
+        up0, up1, down1, down2 = exit_rates(r21, r10, rr, rd)
+        g = np.array(
+            [[-up0, down1, 0.0], [up0, -down1 - up1, down2], [0.0, up1, -down2]]
+        )
+        oracle = full_generator(TransitionRates(r21, r10, rr, rd))
+        assert g.tobytes() == oracle.tobytes()
+    columns = exit_rates(*draws.T)
+    for i, row in enumerate(draws.tolist()):
+        assert tuple(c[i] for c in columns) == exit_rates(*row)
+    # the belief model's default: no continuous depumping
+    assert exit_rates(35.0, 50.0, 59.0) == (118.0, 59.0, 50.0, 35.0)
 
 
 class TestPhotonCountModel:

@@ -13,9 +13,9 @@ from telegraphctl.rng import PortableRandom
 from telegraphctl.simulate import (
     PulseSpec,
     SimConfig,
+    _channel_table,
     apply_pulse,
     emit_photons,
-    exit_channels,
     run_chain,
     run_trace,
     run_trace_events,
@@ -35,11 +35,27 @@ def test_frozen_chain():
             assert step_continuous_events(state, rates, 1e-3, rng) == (state, [])
 
 
-def test_exit_channels_depump_mirrors_repump_multiplicity():
-    rates = TransitionRates(35.0, 50.0, 7.0, 11.0)
-    assert exit_channels(0, rates) == [(14.0, 1)]
-    assert dict((d, r) for r, d in exit_channels(1, rates)) == {2: 7.0, 0: 61.0}
-    assert exit_channels(2, rates) == [(57.0, 1)]
+def test_channel_table_matches_oracle_generator():
+    # depumping mirrors the repump multiplicity: 2->1 takes two atoms' worth
+    assert _channel_table(35.0, 50.0, 7.0, 11.0) == (
+        (14.0, 68.0, 57.0),
+        (((14.0, 1),), ((7.0, 2), (68.0, 0)), ((57.0, 1),)),
+    )
+    # per state, the exit total is minus the oracle generator's diagonal and
+    # the channels are the open ones, the up channel first
+    rng = np.random.default_rng(22)
+    draws = rng.uniform(0.0, 300.0, size=(500, 4))
+    draws[rng.random(draws.shape) < 0.2] = 0.0
+    for r21, r10, rr, rd in draws.tolist():
+        g = full_generator(TransitionRates(r21, r10, rr, rd))
+        totals, channels = _channel_table(r21, r10, rr, rd)
+        assert totals == tuple(-np.diag(g))
+        for state, exits in enumerate(channels):
+            up_first = [d for d in (state + 1, state - 1) if 0 <= d <= 2]
+            assert [d for _, d in exits] == [d for d in up_first if g[d, state] > 0]
+            if exits:
+                assert exits[0][0] == g[exits[0][1], state]
+                assert exits[-1][0] == totals[state]
 
 
 def test_single_bin_jump_frequency_vs_matrix_exponential(paper_rates):
@@ -294,12 +310,11 @@ def test_simulator_frozen_bits(key):
     assert h.hexdigest() == SIMULATOR_DIGESTS[key]
 
 
-def test_channel_draws_follow_exit_channels_order():
+def test_channel_draws_take_the_up_channel_first():
     # two exits from state 1 (repump up first, then decay plus depump down):
     # a uniform below the up rate's share goes up, any other goes down
     rates = TransitionRates(35.0, 50.0, 20.0, 15.0)
-    up, down = exit_channels(1, rates)
-    assert up == (20.0, 2) and down == (65.0, 0)
+    assert _channel_table(35.0, 50.0, 20.0, 15.0)[1][1] == ((20.0, 2), (85.0, 0))
     ups = downs = 0
     rng = PortableRandom(3)
     for _ in range(20_000):
