@@ -112,8 +112,8 @@ _OVERRIDES = {
 }
 
 
-def _load_config(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base if base is not None else ExperimentConfig()
+def _load_config(args, cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with the config file and then the flags applied."""
     if args.config is not None:
         try:
             text = args.config.read_text(encoding="utf-8")
@@ -143,24 +143,26 @@ def _manifest(cfg: ExperimentConfig, command: str, outputs: list[str]) -> dict:
     }
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    runs = run_open_loop_ensemble(cfg.sim_config(), None, cfg.n_traces, cfg.seed)
-    outputs = []
-    counts = Counter()
-    for i, run in enumerate(runs):
-        name = f"trace_{i:04d}.csv"
+def _write_traces(out: Path, runs) -> list[str]:
+    """Each run's records as out/trace_NNNN.csv; the file names, in order."""
+    names = [f"trace_{i:04d}.csv" for i in range(len(runs))]
+    for name, run in zip(names, runs):
         write_trace(out / name, run.records)
-        outputs.append(name)
-        counts.update(rec.photon_count for rec in run.records)
-    hist_rows = [(n, counts[n]) for n in sorted(counts)]
-    write_csv(out / "histogram.csv", ("photon_count", "bins"), hist_rows)
-    outputs.append("histogram.csv")
-    write_manifest(out / "manifest.json", _manifest(cfg, "simulate", outputs))
-    print(f"wrote {cfg.n_traces} trace(s) to {out}")
-    return 0
+    return names
+
+
+# Each command takes the parsed flags and the loaded config, computes
+# everything that can fail before its first write, and returns the names
+# of the files it wrote into --out and its exit code.
+
+
+def cmd_simulate(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
+    runs = run_open_loop_ensemble(cfg.sim_config(), None, cfg.n_traces, cfg.seed)
+    counts = Counter(rec.photon_count for run in runs for rec in run.records)
+    outputs = _write_traces(args.out, runs)
+    write_csv(args.out / "histogram.csv", ("photon_count", "bins"), sorted(counts.items()))
+    print(f"wrote {cfg.n_traces} trace(s) to {args.out}")
+    return outputs + ["histogram.csv"], 0
 
 
 def _require(ok: bool, flag: str, value, rule: str) -> None:
@@ -169,12 +171,9 @@ def _require(ok: bool, flag: str, value, rule: str) -> None:
         raise ConfigError(f"{flag} must be {rule}, got {value!r}")
 
 
-def cmd_estimate_rates(args) -> int:
+def cmd_estimate_rates(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
     thr = args.stop_threshold
     _require(0.0 <= thr < math.inf, "--stop-threshold", thr, "a finite number >= 0")
-    cfg = _load_config(args)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     model = cfg.filter_photon_model()
     reports = []
     evolution_rows = []
@@ -188,7 +187,7 @@ def cmd_estimate_rates(args) -> int:
                 model,
                 cfg.bin_time,
                 initial_states=cfg.initial_belief,
-                stop_threshold=args.stop_threshold,
+                stop_threshold=thr,
                 stop_at_trigger=True,
                 snapshot_every=max(1, len(records) // 10),
             )
@@ -229,17 +228,12 @@ def cmd_estimate_rates(args) -> int:
                     (t, name, float(v), float(p)) for v, p in zip(values, probs)
                 )
     write_manifest(
-        out / "rates_report.json",
-        {"reports": reports, "stop_threshold": args.stop_threshold},
+        args.out / "rates_report.json", {"reports": reports, "stop_threshold": thr}
     )
     write_csv(
-        out / "posterior_evolution.csv",
+        args.out / "posterior_evolution.csv",
         ("time_s", "rate", "rate_per_s", "probability"),
         evolution_rows,
-    )
-    write_manifest(
-        out / "manifest.json",
-        _manifest(cfg, "estimate-rates", ["rates_report.json", "posterior_evolution.csv"]),
     )
     for rep in reports:
         r = rep["rates_per_s"]
@@ -250,21 +244,13 @@ def cmd_estimate_rates(args) -> int:
                 for name in ("r21", "r10", "r_repump")
             )
         )
-    return 0 if all_converged else 3
+    return ["rates_report.json", "posterior_evolution.csv"], 0 if all_converged else 3
 
 
-def cmd_feedback(args) -> int:
-    cfg = _load_config(args, base=feedback_defaults())
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_feedback(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
     runs = run_closed_loop_ensemble(
         cfg.sim_config(), cfg.filter_config(), cfg.control_policy(), cfg.n_traces, cfg.seed
     )
-    outputs = []
-    for i, run in enumerate(runs):
-        name = f"trace_{i:04d}.csv"
-        write_trace(out / name, run.records)
-        outputs.append(name)
     posteriors = [run.posteriors for run in runs]
     occupancy = mean_occupancy(posteriors)
     dwell = dwell_time(posteriors, cfg.bin_time)
@@ -288,21 +274,19 @@ def cmd_feedback(args) -> int:
             "t_depump": cfg.t_depump,
         },
     }
-    write_manifest(out / "summary.json", summary)
-    outputs.append("summary.json")
-    write_manifest(out / "manifest.json", _manifest(cfg, "feedback", outputs))
+    outputs = _write_traces(args.out, runs)
+    write_manifest(args.out / "summary.json", summary)
     print(
         f"mean target occupancy {occupancy.mean_p.p1:.3f}, dwell tau "
         f"{dwell.tau * 1e3:.1f} ms, time to target {ttt * 1e3:.2f} ms"
     )
-    return 0
+    return outputs + ["summary.json"], 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
     for flag, r in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         _require(0.0 <= r < math.inf, flag, r, "a finite rate >= 0")
     _require(args.r_steps >= 1, "--r-steps", args.r_steps, ">= 1")
-    cfg = _load_config(args)
     # the stationary closed form divides by both decay rates
     rates = cfg.rates
     for key, r in (("rates.r21_per_s", rates.r21), ("rates.r10_per_s", rates.r10)):
@@ -314,26 +298,22 @@ def cmd_sweep(args) -> int:
         args.duration_ms,
         "finite and longer than half a bin",
     )
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     r_values = np.linspace(args.r_min, args.r_max, args.r_steps)
-    curve = sweep_repump_rate(cfg.rates, r_values, duration, cfg.bin_time)
+    curve = sweep_repump_rate(rates, r_values, duration, cfg.bin_time)
     rows = []
     for r, mean_p1 in curve:
         stat = (
-            stationary_belief(TransitionRates(cfg.rates.r21, cfg.rates.r10, r)).p1
+            stationary_belief(TransitionRates(rates.r21, rates.r10, r)).p1
             if r > 0
             else float("nan")
         )
         rows.append((r, mean_p1, stat))
-    write_csv(out / "sweep.csv", ("repump_per_s", "mean_p1", "stationary_p1"), rows)
     best_r, best_p1 = sweep_maximum(curve)
-    r_star = optimal_repump_rate(cfg.rates)
-    stat_best = stationary_belief(
-        TransitionRates(cfg.rates.r21, cfg.rates.r10, r_star)
-    ).p1
+    r_star = optimal_repump_rate(rates)
+    stat_best = stationary_belief(TransitionRates(rates.r21, rates.r10, r_star)).p1
+    write_csv(args.out / "sweep.csv", ("repump_per_s", "mean_p1", "stationary_p1"), rows)
     write_manifest(
-        out / "sweep_summary.json",
+        args.out / "sweep_summary.json",
         {
             "max_mean_p1": best_p1,
             "argmax_repump_per_s": best_r,
@@ -342,20 +322,14 @@ def cmd_sweep(args) -> int:
             "duration_s": duration,
         },
     )
-    write_manifest(
-        out / "manifest.json", _manifest(cfg, "sweep", ["sweep.csv", "sweep_summary.json"])
-    )
     print(
         f"finite-trace max mean p1 {best_p1:.3f} at repump {best_r:.1f}/s "
         f"(stationary optimum {stat_best:.3f} at {r_star:.1f}/s)"
     )
-    return 0
+    return ["sweep.csv", "sweep_summary.json"], 0
 
 
-def cmd_analyze(args) -> int:
-    cfg = _load_config(args)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_analyze(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
     fc = cfg.filter_config()
     posteriors = []
     accuracy_n = accuracy_hits = 0
@@ -387,28 +361,34 @@ def cmd_analyze(args) -> int:
         summary["time_to_target_s"] = time_to_target(posteriors, cfg.bin_time)
     except TelegraphError:
         summary["time_to_target_s"] = None
-    write_manifest(out / "analysis.json", summary)
-    write_manifest(out / "manifest.json", _manifest(cfg, "analyze", ["analysis.json"]))
+    write_manifest(args.out / "analysis.json", summary)
     print(
         f"mean p = {tuple(round(x, 4) for x in occupancy.mean_p.as_tuple())}, "
         f"argmax accuracy {summary['argmax_accuracy']}"
     )
-    return 0
+    return ["analysis.json"], 0
 
 
+# command name -> (its function, the config its file and flags override)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "estimate-rates": cmd_estimate_rates,
-    "feedback": cmd_feedback,
-    "sweep": cmd_sweep,
-    "analyze": cmd_analyze,
+    "simulate": (cmd_simulate, ExperimentConfig),
+    "estimate-rates": (cmd_estimate_rates, ExperimentConfig),
+    "feedback": (cmd_feedback, feedback_defaults),
+    "sweep": (cmd_sweep, ExperimentConfig),
+    "analyze": (cmd_analyze, ExperimentConfig),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: load its config, let it write its outputs into
+    --out, then stamp them with manifest.json."""
     args = build_parser().parse_args(argv)
+    command, defaults = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load_config(args, defaults())
+        outputs, code = command(args, cfg)
+        write_manifest(args.out / "manifest.json", _manifest(cfg, args.command, outputs))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -340,28 +340,31 @@ def pulsed_belief_once(belief: Belief, t: float, direction: Pulse) -> Belief:
     return _stochastic_product(build_pulse_matrix(t, direction), belief)
 
 
-def run_filter(records: Sequence[TraceRecord], config: FilterConfig) -> list[Belief]:
-    """Posterior belief per bin for a recorded trace.
+def _forward(records: Sequence[TraceRecord], config: FilterConfig):
+    """(record, prior, posterior) for each bin of a recorded trace.
 
     Per bin: propagate the previous belief, apply the Bayes update with the
     recorded count, and finally fold in the recorded pulse (if any) so the
-    next prior reflects it. The returned sequence holds the post-measurement
-    posteriors (before the pulse), which is what occupancy statistics and
-    the controller act on. An AllZeroError names the bin it arose in.
+    next prior reflects it. The yielded posterior is the post-measurement
+    one (before the pulse), which is what occupancy statistics and the
+    controller act on. An AllZeroError names the bin it arose in.
     """
-    posteriors: list[Belief] = []
+    rates, dt, method = config.rates, config.bin_time, config.propagation
+    model = config.photon_model
     belief = config.initial_belief
     try:
         for rec in records:
-            prior = propagate_prior(
-                belief, config.rates, config.bin_time, config.propagation
-            )
-            post = posterior_update(prior, rec.photon_count, config.photon_model)
-            posteriors.append(post)
+            prior = propagate_prior(belief, rates, dt, method)
+            post = posterior_update(prior, rec.photon_count, model)
+            yield rec, prior, post
             belief = _fold_pulse(post, rec.pulse, config)
     except AllZeroError as exc:
         raise AllZeroError(f"bin {rec.bin_index}: {exc}") from None
-    return posteriors
+
+
+def run_filter(records: Sequence[TraceRecord], config: FilterConfig) -> list[Belief]:
+    """Posterior belief per bin for a recorded trace (see _forward)."""
+    return [post for _, _, post in _forward(records, config)]
 
 
 def _fold_pulse(post: Belief, pulse: Pulse, config: FilterConfig) -> Belief:
@@ -378,17 +381,15 @@ def _fold_pulse(post: Belief, pulse: Pulse, config: FilterConfig) -> Belief:
 
 def trace_log_likelihood(records: Sequence[TraceRecord], config: FilterConfig) -> float:
     """Total predictive log-likelihood sum_i log p(n_i | n_<i) under the
-    filter model; higher for the model that generated the data."""
+    filter model, the log normalizer of each bin's Bayes update summed;
+    higher for the model that generated the data, and -inf for a trace
+    with an impossible count."""
     total = 0.0
-    belief = config.initial_belief
-    for rec in records:
-        prior = propagate_prior(belief, config.rates, config.bin_time, config.propagation)
-        logl = log_likelihoods(config.photon_model, rec.photon_count)
-        try:
+    try:
+        for rec, prior, _ in _forward(records, config):
+            logl = log_likelihoods(config.photon_model, rec.photon_count)
             w0, w1, w2, m = _bayes_weights(prior, logl)
-        except AllZeroError:
-            return -math.inf
-        post = _posterior(prior, w0, w1, w2)
-        total += m + math.log(math.fsum((w0, w1, w2)))
-        belief = _fold_pulse(post, rec.pulse, config)
+            total += m + math.log(math.fsum((w0, w1, w2)))
+    except AllZeroError:
+        return -math.inf
     return total

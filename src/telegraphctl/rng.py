@@ -23,8 +23,8 @@ built on one small, fully documented generator instead of a platform RNG:
 * Negative binomial with mean m and Fano factor f > 1: Poisson mixed over
   ``Gamma(shape=m/(f-1), scale=f-1)``.
 
-Derived streams for ensemble members: ``spawn(i)`` reseeds a fresh stream
-with ``finalize(seed XOR ((i+1) * 0x9E3779B97F4A7C15 mod 2**64))`` where
+Derived streams for ensemble members: ``derive_seed(seed, i)`` gives the
+seed ``finalize(seed XOR ((i+1) * 0x9E3779B97F4A7C15 mod 2**64))`` where
 ``finalize`` is the SplitMix64 output function. Consumers must document
 their draw order; the samplers above consume draws strictly in the order
 stated.
@@ -63,7 +63,6 @@ class PortableRandom:
     """SplitMix64-based stream with the samplers documented above."""
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
         # State after the last output of the current block; the block is
         # empty until the first draw.
         self._state = seed & _MASK64
@@ -188,8 +187,3 @@ class PortableRandom:
         shape = mean / (fano - 1.0)
         lam = self.gamma(shape) * (fano - 1.0)
         return self.poisson(lam)
-
-    def spawn(self, index: int) -> "PortableRandom":
-        """Independent stream for ensemble member ``index``, derived from
-        the seed this generator was created with (not its current state)."""
-        return PortableRandom(derive_seed(self.seed, index))

@@ -31,8 +31,16 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write UTF-8 ``text`` to ``path``, creating its directory first, so a
+    command that fails before its first write leaves no output directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def write_trace(path: Path, records: Iterable[TraceRecord]) -> None:
-    Path(path).write_text(format_trace(records), encoding="utf-8")
+    _write_text(path, format_trace(records))
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
@@ -86,16 +94,14 @@ def config_digest(config_text: str) -> str:
 
 
 def write_manifest(path: Path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _fmt(v) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import fields, replace
@@ -612,3 +613,62 @@ class TestCli:
         summary = json.loads((out / "analysis.json").read_text())
         assert summary["argmax_accuracy"] > 0.9
         assert summary["n_traces"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--traces", "1", "--bins", "1"],
+            ["--policy", "optimal", "--traces", "2", "--bins", "3"],
+        ],
+    )
+    def test_failed_feedback_writes_nothing(self, out, capsys, argv):
+        # the target is never dominant, so the summary fails before any write
+        assert main(["feedback", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+# SHA-256 of every output of the five commands on small fixed inputs;
+# rates_report.json holds the trace path, so it is left out.
+FROZEN_OUTPUTS = {
+    "an/analysis.json": "e1c8ea067a87f7c7d569f1b205e1447963a287015ffa2a4a35572b52045c9ad7",
+    "an/manifest.json": "975f4fbb653bc515fca8a1bfd9f9d13667f1a5bfedb34f088c880eeac533a195",
+    "est/manifest.json": "aa54df069a559147db893657efea62f3e8169ecd93b4a770fdb81b0a26e1efd6",
+    "est/posterior_evolution.csv": "33092b16ffb7320ed2a7b9ffceabb36bce2aa81c2b04533b1095b23eb628b23c",
+    "fb/manifest.json": "8005c35eac699d990ecc537cea554fd741dbba51605dc60eb25b5a63c43e5682",
+    "fb/summary.json": "8f95fcf9723917feb9dddaf663e3e7dc10450d9711827c3bfef9e0be034e79c6",
+    "fb/trace_0000.csv": "10e929d2d9a1431afa133dee8602078f295e8a9362d0b9f4aa41ac4fb7386f8c",
+    "fb/trace_0001.csv": "6e972932844c31eb44156739d28354d432170f672fea3295769ce100480818b8",
+    "sim/histogram.csv": "1804e54f6ffa87cc2bb17492b476bbab803d567e6610000018a88308066d015f",
+    "sim/manifest.json": "7b41ad5bc8bc9e331d02fdb47f473ed6380ef14173e80627a83880e72bf86dff",
+    "sim/trace_0000.csv": "45482c430cc0c70cdaa99452ea295b9555c9501ccbc1d6878ba426ce53619969",
+    "sim/trace_0001.csv": "eb19d2f8a725fd6a7d0625af594bcc9bf2062b9fd1849126ed4fa584373271e8",
+    "sweep/manifest.json": "151f377d3b8046eeacc3895e702f35b80901d9d5279a9e4db7cb799616570110",
+    "sweep/sweep.csv": "42383b3184c08cecd58b44c77bb9570de9a8d951d1ca42ac840a233e54b0630d",
+    "sweep/sweep_summary.json": "8d5f2e1ce3495a66ed9c1b964059b265ed7b6469571993f183422b99ea269515",
+}
+
+
+@pytest.mark.filterwarnings("ignore::telegraphctl.errors.NotConvergedWarning")
+def test_command_outputs_frozen(tmp_path):
+    traces = [str(tmp_path / "sim" / f"trace_000{i}.csv") for i in range(2)]
+    runs = {
+        "sim": (["simulate", "--traces", "2", "--bins", "200"], 0),
+        "fb": (["feedback", "--traces", "2", "--bins", "200"], 0),
+        "sweep": (["sweep", "--r-steps", "5"], 0),
+        "an": (["analyze", *traces], 0),
+        "est": (["estimate-rates", traces[0]], 3),
+    }
+    for name, (argv, code) in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert set(manifest["outputs"]) == written
+    got = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.rglob("*")
+        if p.is_file() and p.name != "rates_report.json"
+    }
+    assert got == FROZEN_OUTPUTS

@@ -237,6 +237,7 @@ class TestMatchesReferenceEnumeration:
             want = reference_decide_action_optimal(b, g)
             assert decision_bits(got) == decision_bits(want), (b, g)
 
+    @pytest.mark.slow
     def test_random_and_near_boundary_pairs(self):
         # 100 002 (belief, target) pairs: 25 000 random and 25 001 with a
         # belief component <= 1e-6, each also swapped

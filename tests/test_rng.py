@@ -85,15 +85,6 @@ def test_recorded_seed42_outputs():
     assert rng.next_u64() == 0xCED35AAE88A21C53
 
 
-def test_spawn_streams_differ_and_are_stable():
-    rng = PortableRandom(99)
-    rng.uniform()  # spawning must not depend on consumed draws
-    child0 = rng.spawn(0)
-    child0_again = PortableRandom(99).spawn(0)
-    assert child0.next_u64() == child0_again.next_u64()
-    assert PortableRandom(99).spawn(0).next_u64() != PortableRandom(99).spawn(1).next_u64()
-
-
 def test_exponential_inverse_cdf_mean():
     rng = PortableRandom(5)
     xs = [rng.exponential(50.0) for _ in range(100_000)]
