@@ -19,11 +19,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .control import DEFAULT_TARGET
 from .errors import EmptyEnsembleError, NeverReachedError, NoEpisodesError
 from .filtering import transition_matrix
 from .model import Belief, TransitionRates, exit_rates, normalize
 
-TARGET_STATE = 1
+TARGET_STATE = DEFAULT_TARGET.argmax()
 
 
 def integrate_rate_equations(
@@ -137,27 +138,21 @@ class DwellStats:
     n_truncated: int
 
 
-def _dominance_runs(argmaxes: Sequence[int], target: int) -> tuple[list[tuple[int, int]], int]:
-    """Maximal [start, end) runs with argmax == target, split into complete
-    runs and the count of boundary-truncated ones."""
+def _dominance_runs(argmaxes: Sequence[int], target: int) -> list[tuple[int, int]]:
+    """Every maximal [start, end) run of bins with argmax == target, in
+    order, those touching either end of the trace included."""
     runs = []
-    truncated = 0
     start = None
     for i, a in enumerate(argmaxes):
-        if a == target and start is None:
-            start = i
-        elif a != target and start is not None:
+        if a == target:
+            if start is None:
+                start = i
+        elif start is not None:
             runs.append((start, i))
             start = None
     if start is not None:
         runs.append((start, len(argmaxes)))
-    complete = []
-    for s, e in runs:
-        if s == 0 or e == len(argmaxes):
-            truncated += 1
-        else:
-            complete.append((s, e))
-    return complete, truncated
+    return runs
 
 
 def dwell_time(
@@ -170,11 +165,13 @@ def dwell_time(
     truncated = 0
     seen_target = False
     for trace in belief_traces:
-        argmaxes = [b.argmax() for b in trace]
-        seen_target = seen_target or target_alpha in argmaxes
-        complete, trunc = _dominance_runs(argmaxes, target_alpha)
-        truncated += trunc
-        durations.extend((e - s) * bin_time for s, e in complete)
+        runs = _dominance_runs([b.argmax() for b in trace], target_alpha)
+        seen_target = seen_target or bool(runs)
+        for s, e in runs:
+            if s == 0 or e == len(trace):
+                truncated += 1
+            else:
+                durations.append((e - s) * bin_time)
     if not seen_target:
         raise NoEpisodesError("target state never dominant in any trace")
     if not durations:
@@ -228,20 +225,12 @@ def time_to_target(
     """
     episodes = []
     for trace in belief_traces:
-        argmaxes = [b.argmax() for b in trace]
-        if target_alpha not in argmaxes:
+        runs = _dominance_runs([b.argmax() for b in trace], target_alpha)
+        if not runs:
             raise NeverReachedError("a trace never reached target dominance")
         # initial episode: the belief starts outside dominance by precondition
-        first = argmaxes.index(target_alpha)
-        episodes.append((first + 1) * bin_time)
-        away = 0
-        for a in argmaxes[first:]:
-            if a == target_alpha:
-                if away:
-                    episodes.append(away * bin_time)
-                    away = 0
-            else:
-                away += 1
+        episodes.append((runs[0][0] + 1) * bin_time)
+        episodes.extend((s - e) * bin_time for (_, e), (s, _) in zip(runs, runs[1:]))
     if not episodes:
         raise NoEpisodesError("no completed recovery episodes")
     return float(np.mean(episodes))

@@ -253,8 +253,9 @@ def cmd_feedback(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
     )
     posteriors = [run.posteriors for run in runs]
     occupancy = mean_occupancy(posteriors)
-    dwell = dwell_time(posteriors, cfg.bin_time)
-    ttt = time_to_target(posteriors, cfg.bin_time)
+    target = cfg.target.argmax()
+    dwell = dwell_time(posteriors, cfg.bin_time, target)
+    ttt = time_to_target(posteriors, cfg.bin_time, target)
     n_pulses = Counter()
     for run in runs:
         n_pulses.update(rec.pulse.name for rec in run.records if rec.pulse)
@@ -277,10 +278,15 @@ def cmd_feedback(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
     outputs = _write_traces(args.out, runs)
     write_manifest(args.out / "summary.json", summary)
     print(
-        f"mean target occupancy {occupancy.mean_p.p1:.3f}, dwell tau "
+        f"mean target occupancy {occupancy.mean_p[target]:.3f}, dwell tau "
         f"{dwell.tau * 1e3:.1f} ms, time to target {ttt * 1e3:.2f} ms"
     )
     return outputs + ["summary.json"], 0
+
+
+# Bins per sweep point: the rate equations keep every bin's belief (24 B),
+# so this bounds each point's array to 24 MB.
+MAX_SWEEP_STEPS = 1_000_000
 
 
 def cmd_sweep(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
@@ -292,11 +298,12 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
     for key, r in (("rates.r21_per_s", rates.r21), ("rates.r10_per_s", rates.r10)):
         _require(r > 0.0, key, r, "> 0 for the stationary sweep")
     duration = args.duration_ms * 1e-3
+    # false for NaN, and for an infinite or overflowing quotient
     _require(
-        0.0 < duration < math.inf and round(duration / cfg.bin_time) >= 1,
+        0.5 < duration / cfg.bin_time <= MAX_SWEEP_STEPS,
         "--duration-ms",
         args.duration_ms,
-        "finite and longer than half a bin",
+        f"longer than half a bin and at most {MAX_SWEEP_STEPS} bins",
     )
     r_values = np.linspace(args.r_min, args.r_max, args.r_steps)
     curve = sweep_repump_rate(rates, r_values, duration, cfg.bin_time)
@@ -351,14 +358,15 @@ def cmd_analyze(args, cfg: ExperimentConfig) -> tuple[list[str], int]:
         "n_traces": occupancy.n_traces,
         "argmax_accuracy": None if accuracy_n == 0 else accuracy_hits / accuracy_n,
     }
+    target = cfg.target.argmax()
     try:
-        dwell = dwell_time(posteriors, cfg.bin_time)
+        dwell = dwell_time(posteriors, cfg.bin_time, target)
         summary["dwell_tau_s"] = dwell.tau
         summary["dwell_episodes"] = dwell.n_episodes
     except TelegraphError:
         summary["dwell_tau_s"] = None
     try:
-        summary["time_to_target_s"] = time_to_target(posteriors, cfg.bin_time)
+        summary["time_to_target_s"] = time_to_target(posteriors, cfg.bin_time, target)
     except TelegraphError:
         summary["time_to_target_s"] = None
     write_manifest(args.out / "analysis.json", summary)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .control import DEFAULT_T_DEPUMP, DEFAULT_T_REPUMP, ControlPolicy
+from .control import DEFAULT_T_DEPUMP, DEFAULT_T_REPUMP, DEFAULT_TARGET, ControlPolicy
 from .errors import AllZeroError, ConfigError
 from .filtering import FilterConfig
 from .model import Belief, PhotonCountModel, TransitionRates, normalize
@@ -52,7 +52,7 @@ class ExperimentConfig:
     policy_mode: str = "simple"
     t_repump: float = DEFAULT_T_REPUMP
     t_depump: float = DEFAULT_T_DEPUMP
-    target: Belief = Belief(0.0, 1.0, 0.0)
+    target: Belief = DEFAULT_TARGET
 
     @property
     def bin_time(self) -> float:
@@ -160,6 +160,13 @@ def _belief(text: str, key: str) -> Belief:
         raise ValueError(f"{key}: {exc}") from None
 
 
+def _target(text: str, key: str) -> Belief:
+    target = _belief(text, key)  # its largest component is the target state
+    if sorted(target)[1] == max(target):
+        raise ValueError(f"{key} needs one largest component, got {_join(target)}")
+    return target
+
+
 def _bool(text: str, key: str) -> bool:
     if text.lower() in ("true", "1", "yes"):
         return True
@@ -178,6 +185,7 @@ _FORMAT = {
     _text: str,
     _triple: _join,
     _belief: _join,
+    _target: _join,
     _bool: lambda flag: "true",
 }
 
@@ -213,7 +221,7 @@ _KEYS = {
     "policy.mode": ("policy_mode", _text),
     "policy.t_repump": ("t_repump", _float),
     "policy.t_depump": ("t_depump", _float),
-    "policy.target": ("target", _belief),
+    "policy.target": ("target", _target),
 }
 
 

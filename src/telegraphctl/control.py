@@ -32,6 +32,8 @@ from .simulate import PulseSpec
 # experiments.tune_fixed_pulse_probability).
 DEFAULT_T_REPUMP = 0.4
 DEFAULT_T_DEPUMP = 0.4
+# The balanced state, one atom in each level: the middle state alpha = 1.
+DEFAULT_TARGET = Belief(0.0, 1.0, 0.0)
 
 _TIE_EPS = 1e-12
 
@@ -44,7 +46,7 @@ class ControlPolicy:
     mode: str = "simple"  # "simple" (fixed T, threshold rule) or "optimal"
     fixed_t_repump: float = DEFAULT_T_REPUMP
     fixed_t_depump: float = DEFAULT_T_DEPUMP
-    target: Belief = Belief(0.0, 1.0, 0.0)
+    target: Belief = DEFAULT_TARGET
 
     def __post_init__(self):
         if self.mode not in ("simple", "optimal"):

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import ControlPolicy, ControlDecision, decide_action
+from .control import DEFAULT_TARGET, ControlPolicy, ControlDecision, decide_action
 from .filtering import FilterConfig, posterior_update, propagate_prior, run_filter
 from .model import Belief, PhotonCountModel, Pulse, TraceRecord
 from .rng import PortableRandom, derive_seed
@@ -128,7 +128,7 @@ def tune_fixed_pulse_probability(
     t_values: Sequence[float] = tuple(i / 10 for i in range(1, 10)),
     n_traces: int = 20,
     master_seed: int = 0x7E1E6_0001,
-    target: Belief = Belief(0.0, 1.0, 0.0),
+    target: Belief = DEFAULT_TARGET,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Coarse sweep of the shared fixed transition probability maximizing the
     mean posterior occupancy of the target state; returns the maximizer and

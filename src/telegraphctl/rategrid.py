@@ -120,9 +120,6 @@ class RateGrid:
     spec: GridSpec
     joint: np.ndarray
 
-    def copy(self) -> "RateGrid":
-        return RateGrid(self.spec, self.joint.copy())
-
 
 class RatePosterior(NamedTuple):
     """Marginal summary for one rate: expectation and rms spread (1/s)."""
@@ -312,18 +309,11 @@ class _BinMarginals:
         }
 
 
-def stopping_check(
-    grid: RateGrid,
-    threshold: float = 0.10,
-    marginals: Optional[Iterable[RatePosterior]] = None,
-) -> bool:
-    """True when every rate marginal has rms/mean at or below threshold.
-    The rates are checked in RATE_NAMES order and the check ends at the
-    first that fails. ``marginals``, when given, are the grid's posteriors
-    in that order (a RateMarginals, or an iterable that computes each as it
-    is read); by default marginal_rates(grid)."""
-    if marginals is None:
-        marginals = marginal_rates(grid)
+def stopping_check(marginals: Iterable[RatePosterior], threshold: float = 0.10) -> bool:
+    """True when every rate posterior has rms/mean at or below threshold.
+    ``marginals`` are the posteriors in RATE_NAMES order (a RateMarginals,
+    or an iterable that computes each as it is read); the check ends at
+    the first that fails."""
     for name, post in zip(RATE_NAMES, marginals):
         if post.mean == 0.0:
             if post.rms > 0.0:
@@ -344,7 +334,7 @@ class EstimationResult:
     final_marginals: RateMarginals
     rms_history: list[tuple[int, float, float, float]]
     snapshots: list[tuple[int, dict[str, tuple[np.ndarray, np.ndarray]]]]
-    final_grid: Optional[RateGrid] = None
+    final_grid: RateGrid
 
     @property
     def converged(self) -> bool:
@@ -367,7 +357,6 @@ def run_estimation(
     history_every: int = 100,
     snapshot_every: Optional[int] = None,
     method: str = "exact",
-    keep_grid: bool = False,
 ) -> EstimationResult:
     """Stream a recorded trace through the exact grid update.
 
@@ -396,7 +385,6 @@ def run_estimation(
     prop = _propagator(spec, dt)
     joint = init_flat(spec, initial_states).joint
     buf = np.empty_like(joint)
-    grid = RateGrid(spec, joint)
     stop_bin = None
     marginals_at_stop = None
     rms_history = []
@@ -406,10 +394,9 @@ def run_estimation(
         for rec in records:
             m21 = _step(prop, joint, buf, model, rec.photon_count)
             joint, buf = buf, joint
-            grid.joint = joint
             n_seen += 1
             marg = _BinMarginals(spec, joint, m21)
-            if stop_bin is None and stopping_check(grid, stop_threshold, marg):
+            if stop_bin is None and stopping_check(marg, stop_threshold):
                 stop_bin = rec.bin_index
                 marginals_at_stop = RateMarginals._make(marg)
                 if stop_at_trigger:
@@ -421,6 +408,7 @@ def run_estimation(
                 snapshots.append((rec.bin_index, marg.axis_marginals()))
     except AllZeroError as exc:
         raise AllZeroError(f"bin {rec.bin_index}: {exc}") from None
+    grid = RateGrid(spec, joint)
     return EstimationResult(
         n_bins=n_seen,
         stop_bin=stop_bin,
@@ -428,5 +416,5 @@ def run_estimation(
         final_marginals=marginal_rates(grid),
         rms_history=rms_history,
         snapshots=snapshots,
-        final_grid=grid.copy() if keep_grid else None,
+        final_grid=grid,
     )

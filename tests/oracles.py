@@ -5,8 +5,14 @@ import math
 import mpmath
 import numpy as np
 
+from telegraphctl.analytics import DwellStats
 from telegraphctl.control import ControlDecision, kolmogorov_distance
-from telegraphctl.errors import AllZeroError, TraceFormatError
+from telegraphctl.errors import (
+    AllZeroError,
+    NeverReachedError,
+    NoEpisodesError,
+    TraceFormatError,
+)
 from telegraphctl.filtering import pulsed_belief
 from telegraphctl.model import Belief, Pulse, TraceRecord, TransitionRates
 from telegraphctl.rategrid import (
@@ -304,3 +310,74 @@ def reference_run_estimation(
         if k % history_every == 0:
             history.append((rec.bin_index, m.r21.rms, m.r10.rms, m.r_repump.rms))
     return stop_bin, at_stop, history, grid.joint, per_bin
+
+
+def _reference_dominance_runs(argmaxes, target):
+    """Maximal [start, end) runs with argmax == target, split into complete
+    runs and the count of boundary-truncated ones."""
+    runs = []
+    truncated = 0
+    start = None
+    for i, a in enumerate(argmaxes):
+        if a == target and start is None:
+            start = i
+        elif a != target and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(argmaxes)))
+    complete = []
+    for s, e in runs:
+        if s == 0 or e == len(argmaxes):
+            truncated += 1
+        else:
+            complete.append((s, e))
+    return complete, truncated
+
+
+def reference_dwell_time(belief_traces, bin_time, target_alpha) -> DwellStats:
+    """Mean duration of complete target-dominance runs, from the run scan
+    that drops boundary runs as it goes."""
+    durations = []
+    truncated = 0
+    seen_target = False
+    for trace in belief_traces:
+        argmaxes = [b.argmax() for b in trace]
+        seen_target = seen_target or target_alpha in argmaxes
+        complete, trunc = _reference_dominance_runs(argmaxes, target_alpha)
+        truncated += trunc
+        durations.extend((e - s) * bin_time for s, e in complete)
+    if not seen_target:
+        raise NoEpisodesError("target state never dominant in any trace")
+    if not durations:
+        return DwellStats(math.nan, math.nan, 0, truncated)
+    tau = float(np.mean(durations))
+    stderr = (
+        float(np.std(durations, ddof=1) / math.sqrt(len(durations)))
+        if len(durations) > 1
+        else math.nan
+    )
+    return DwellStats(tau, stderr, len(durations), truncated)
+
+
+def reference_time_to_target(belief_traces, bin_time, target_alpha) -> float:
+    """Mean recovery time from a per-bin scan: the initial episode through
+    the first dominant bin, then each interior run of non-dominant bins."""
+    episodes = []
+    for trace in belief_traces:
+        argmaxes = [b.argmax() for b in trace]
+        if target_alpha not in argmaxes:
+            raise NeverReachedError("a trace never reached target dominance")
+        first = argmaxes.index(target_alpha)
+        episodes.append((first + 1) * bin_time)
+        away = 0
+        for a in argmaxes[first:]:
+            if a == target_alpha:
+                if away:
+                    episodes.append(away * bin_time)
+                    away = 0
+            else:
+                away += 1
+    if not episodes:
+        raise NoEpisodesError("no completed recovery episodes")
+    return float(np.mean(episodes))

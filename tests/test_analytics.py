@@ -23,7 +23,12 @@ from telegraphctl.errors import (
 )
 from telegraphctl.model import Belief, TransitionRates
 
-from oracles import full_generator, stationary_from_nullspace
+from oracles import (
+    full_generator,
+    reference_dwell_time,
+    reference_time_to_target,
+    stationary_from_nullspace,
+)
 
 DELTA2 = Belief(0.0, 0.0, 1.0)
 
@@ -203,3 +208,62 @@ class TestTimeToTarget:
     def test_never_reached_raises(self):
         with pytest.raises(NeverReachedError):
             time_to_target([belief_trace([0, 0, 2])], 1e-3)
+
+
+def _outcome(statistic, traces, bin_time, target):
+    """The statistic's result as exact text (NaN included), or its error."""
+    try:
+        return repr(statistic(traces, bin_time, target))
+    except (NoEpisodesError, NeverReachedError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# per argmax, a clear belief and a tied one (argmax takes the first maximum)
+_BELIEFS = {
+    0: (Belief(0.8, 0.15, 0.05), Belief(0.5, 0.5, 0.0)),
+    1: (Belief(0.1, 0.8, 0.1), Belief(0.0, 0.5, 0.5)),
+    2: (Belief(0.05, 0.15, 0.8), Belief(0.25, 0.25, 0.5)),
+}
+
+
+class TestRunListMatchesReference:
+    """dwell_time and time_to_target read one run list; the per-bin scans
+    they replaced are the bit-for-bit reference."""
+
+    @staticmethod
+    def _assert_same(traces, bin_time):
+        for target in (0, 1, 2):
+            for new, ref in (
+                (dwell_time, reference_dwell_time),
+                (time_to_target, reference_time_to_target),
+            ):
+                got = _outcome(new, traces, bin_time, target)
+                assert got == _outcome(ref, traces, bin_time, target), (traces, target)
+
+    def test_random_traces(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(600):
+            traces = []
+            for _ in range(rng.integers(0, 4)):
+                argmaxes = rng.integers(0, 3, size=rng.integers(0, 25))
+                ties = rng.integers(0, 2, size=argmaxes.size)
+                traces.append([_BELIEFS[a][t] for a, t in zip(argmaxes, ties)])
+            self._assert_same(traces, float(rng.choice([1e-3, 2.5e-4, 0.7])))
+
+    @pytest.mark.parametrize(
+        "argmaxes",
+        [
+            [1, 0, 0, 2],  # target in the first bin only
+            [0, 2, 2, 1],  # in the last bin only
+            [1, 1, 1, 1],  # in the whole trace
+            [0, 2, 0, 2],  # never
+            [1],
+            [1, 0, 1, 2, 2, 1, 1, 0],
+        ],
+    )
+    def test_edge_cases(self, argmaxes):
+        for target in (0, 1, 2):
+            # the same layout with the target in place of 1
+            seq = [{1: target, target: 1}.get(a, a) for a in argmaxes]
+            self._assert_same([belief_trace(seq)], 1e-3)
+            self._assert_same([belief_trace(seq), belief_trace([2, 1, 0, 1, 2])], 1e-3)

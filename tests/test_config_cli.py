@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracles import reference_parse_trace
+from telegraphctl.analytics import dwell_time, time_to_target
 from telegraphctl.cli import main
 from telegraphctl.config import (
     ExperimentConfig,
@@ -15,6 +16,8 @@ from telegraphctl.config import (
     serialize_config,
 )
 from telegraphctl.errors import ConfigError, TraceFormatError
+from telegraphctl.experiments import run_closed_loop_ensemble
+from telegraphctl.filtering import run_filter
 from telegraphctl.model import Pulse, TraceRecord
 from telegraphctl.rategrid import run_estimation
 from telegraphctl.traceio import (
@@ -135,6 +138,18 @@ class TestConfigParsing:
     def test_unnormalizable_belief_line_precise(self, key, value):
         with pytest.raises(ConfigError, match=rf"^line 2: {re.escape(key)}"):
             parse_config(f"run.seed = 1\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["0.5,0.5,0", "1,1,1", "0,2,2", "3,0,3"])
+    def test_tied_target_line_precise(self, out, tmp_path, capsys, value):
+        # a tie for the largest component names no target state
+        with pytest.raises(ConfigError, match=r"^line 2: policy\.target needs one largest"):
+            parse_config(f"run.seed = 1\npolicy.target = {value}\n")
+        cfg = tmp_path / "tied.cfg"
+        cfg.write_text(f"policy.target = {value}\n")
+        argv = ["feedback", "--traces", "1", "--bins", "5", "--config", str(cfg)]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "config error: line 1: policy.target" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
     @pytest.mark.parametrize("propagation", ["linear", "exact"])
@@ -421,10 +436,13 @@ class TestCli:
             ("--duration-ms", "0.0001"),
             ("--r-min", "-5"),
             ("--r-steps", "-2"),
+            ("--duration-ms", "1e12"),
+            ("--duration-ms", "1e300"),
         ],
     )
     def test_bad_sweep_flag_is_config_error(self, out, capsys, flag, value):
-        # each raised a bare ValueError or OverflowError from the sweep
+        # each raised a bare ValueError, OverflowError or MemoryError from
+        # the sweep; the two long durations ask for more bins than the cap
         assert main(["sweep", flag, value, "--out", str(out)]) == 1
         assert f"config error: {flag} must be " in capsys.readouterr().err
         assert not out.exists()
@@ -613,6 +631,33 @@ class TestCli:
         summary = json.loads((out / "analysis.json").read_text())
         assert summary["argmax_accuracy"] > 0.9
         assert summary["n_traces"] == 2
+
+    def test_statistics_follow_policy_target(self, out, tmp_path, capsys):
+        # dwell time, time to target and the printed occupancy are the
+        # configured target's (state 0 here), in feedback and in analyze
+        target_cfg = tmp_path / "target0.cfg"
+        target_cfg.write_text("policy.target = 1,0,0\n")
+        fb = tmp_path / "fb"
+        argv = ["--traces", "3", "--bins", "200", "--config", str(target_cfg)]
+        assert main(["feedback", *argv, "--out", str(fb)]) == 0
+        summary = json.loads((fb / "summary.json").read_text())
+        printed = capsys.readouterr().out
+        assert f"mean target occupancy {summary['mean_p'][0]:.3f}, " in printed
+        cfg = parse_config(json.loads((fb / "manifest.json").read_text())["config"])
+        runs = run_closed_loop_ensemble(
+            cfg.sim_config(), cfg.filter_config(), cfg.control_policy(), 3, cfg.seed
+        )
+        posteriors = [run.posteriors for run in runs]
+        assert summary["dwell_tau_s"] == dwell_time(posteriors, cfg.bin_time, 0).tau
+        assert summary["time_to_target_s"] == time_to_target(posteriors, cfg.bin_time, 0)
+
+        traces = [str(p) for p in sorted(fb.glob("trace_*.csv"))]
+        assert main(["analyze", *traces, "--config", str(target_cfg), "--out", str(out)]) == 0
+        analysis = json.loads((out / "analysis.json").read_text())
+        cfg = parse_config(json.loads((out / "manifest.json").read_text())["config"])
+        posteriors = [run_filter(read_trace(p), cfg.filter_config()) for p in traces]
+        assert analysis["dwell_tau_s"] == dwell_time(posteriors, cfg.bin_time, 0).tau
+        assert analysis["time_to_target_s"] == time_to_target(posteriors, cfg.bin_time, 0)
 
     @pytest.mark.parametrize(
         "argv",

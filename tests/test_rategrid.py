@@ -126,8 +126,8 @@ class TestInitFlat:
 class TestStoppingCheck:
     def test_single_cell_grid_true(self, paper_rates):
         grid = init_flat(single_cell_spec(paper_rates), DELTA2)
-        assert stopping_check(grid) is True
         marg = marginal_rates(grid)
+        assert stopping_check(marg) is True
         assert marg.r21 .rms == 0.0
         assert marg.r21.mean == paper_rates.r21
 
@@ -140,8 +140,8 @@ class TestStoppingCheck:
             r_repump=GridAxis(0.0, 150.0, 25),
         )
         grid = init_flat(spec, DELTA2)
-        assert stopping_check(grid) is False
         marg = marginal_rates(grid)
+        assert stopping_check(marg) is False
         n, spacing = 25, 150.0 / 24
         expected_rms = math.sqrt((n * n - 1) / 12.0) * spacing
         assert marg.r21.rms == pytest.approx(expected_rms, rel=1e-12)
@@ -227,9 +227,7 @@ class TestRunEstimation:
             r10=GridAxis(10.0, 80.0, 5),
             r_repump=GridAxis(10.0, 90.0, 5),
         )
-        result = run_estimation(
-            records, spec, default_model, 1e-3, history_every=0, keep_grid=True
-        )
+        result = run_estimation(records, spec, default_model, 1e-3, history_every=0)
         grid = init_flat(spec, DELTA2)
         for rec in records:
             grid = update(grid, rec.photon_count, default_model, 1e-3)
@@ -284,7 +282,6 @@ class TestRunEstimation:
             stop_at_trigger=stop_at_trigger,
             history_every=100,
             snapshot_every=60,
-            keep_grid=True,
         )
         monkeypatch.undo()
         assert result.stop_bin == first_stop
@@ -499,7 +496,7 @@ class TestFusedMarginals:
         marg = marginal_rates(grid)
         assert (marg.r21.mean, marg.r21.rms) == (0.0, 0.0)
         assert (marg.r_repump.mean, marg.r_repump.rms) == (0.0, 0.0)
-        assert stopping_check(grid) is True
+        assert stopping_check(marg) is True
 
     def test_zero_mean_with_spread_raises(self):
         # signed mass on r21 = 0, 50, 100 with mean exactly 0 and rms > 0
@@ -513,7 +510,7 @@ class TestFusedMarginals:
         grid = RateGrid(spec, joint)
         assert marginal_rates(grid).r21.mean == 0.0
         with pytest.raises(ZeroMeanError):
-            stopping_check(grid)
+            stopping_check(marginal_rates(grid))
 
     def test_zero_mass_raises(self):
         grid = RateGrid(SMALL_SPEC, np.zeros((3,) + SMALL_SPEC.shape))
@@ -523,9 +520,7 @@ class TestFusedMarginals:
     def test_snapshot_marginals_match(self, default_model, paper_rates):
         sim = SimConfig(paper_rates, default_model, 1e-3, 40, 2, 13)
         records = run_trace(sim)
-        result = run_estimation(
-            records, SMALL_SPEC, default_model, 1e-3, snapshot_every=40, keep_grid=True
-        )
+        result = run_estimation(records, SMALL_SPEC, default_model, 1e-3, snapshot_every=40)
         (_, snap), = result.snapshots
         reference = _reference_marginals(result.final_grid)
         for name, (values, probs) in snap.items():
@@ -560,9 +555,7 @@ class TestFusedStepMatchesReference:
     def test_simulated_trace(self, default_model, paper_rates, spec, n_bins):
         # 0.3 fires mid-trace on both, so the stop marginals are compared
         records = run_trace(SimConfig(paper_rates, default_model, 1e-3, n_bins, 2, 9))
-        result = run_estimation(
-            records, spec, default_model, 1e-3, stop_threshold=0.3, keep_grid=True
-        )
+        result = run_estimation(records, spec, default_model, 1e-3, stop_threshold=0.3)
         assert result.stop_bin is not None and len(result.rms_history) == n_bins // 100
         reference = reference_run_estimation(records, spec, default_model, 1e-3, 0.3)
         _assert_matches_reference(result, reference)
@@ -581,9 +574,7 @@ class TestFusedStepMatchesReference:
                 with pytest.raises(AllZeroError):
                     run_estimation(records, SMALL_SPEC, default_model, 0.0, **kwargs)
                 return False
-            result = run_estimation(
-                records, SMALL_SPEC, default_model, 0.0, keep_grid=True, **kwargs
-            )
+            result = run_estimation(records, SMALL_SPEC, default_model, 0.0, **kwargs)
             assert result.stop_bin == 0
             _assert_matches_reference(result, reference)
             return True
@@ -608,7 +599,6 @@ class TestFusedStepMatchesReference:
             1e-3,
             stop_threshold=0.6,
             history_every=10,
-            keep_grid=True,
         )
         assert result.stop_bin is not None and len(result.rms_history) == 30
         for m in (result.marginals_at_stop, result.final_marginals):
