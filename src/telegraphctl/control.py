@@ -5,11 +5,22 @@ Two policies are provided. The optimal policy minimizes the Kolmogorov
 over the pulse transition probability, separately for each pulse direction,
 and fires the better one. Each post-pulse component is a quadratic in the
 transition probability, so the distance is piecewise quadratic and its
-minimizer is found exactly among a handful of closed-form candidates. The
-simplified threshold policy fires a fixed-T repump pulse when p0 dominates
-and a fixed-T depump pulse when p2 dominates; simulations show it performs
-within a couple of percentage points of the optimal policy, which is why the
-fixed-T variant is the default.
+minimizer is found exactly among a handful of closed-form candidates.
+
+Most bins need no pulse, and that is proved before the candidate scan.
+For three-component vectors of equal sums the distance equals the largest
+single deviation |x_i - g_i| (total variation as a maximum over events),
+so no T beats T = 0 when a largest deviation can only grow with T: under
+repumping x0 falls, x2 rises and x1 starts downhill on a concave arc when
+2 * p0 <= p1; depumping is the mirror image. The minimizer then returns
+T = 0 with the scan's own T = 0 distance, the same bits the scan returns.
+The test runs only on non-negative belief and target whose sums lie
+within 1e-15 of 1; anything else goes to the scan unchanged.
+
+The simplified threshold policy fires a fixed-T repump pulse when p0
+dominates and a fixed-T depump pulse when p2 dominates; simulations show it
+performs within a couple of percentage points of the optimal policy, which
+is why the fixed-T variant is the default.
 
 The default fixed transition probabilities below were chosen by a coarse
 sweep over T in {0.1, ..., 0.9} maximizing the mean posterior occupancy of
@@ -36,6 +47,10 @@ DEFAULT_T_DEPUMP = 0.4
 DEFAULT_TARGET = Belief(0.0, 1.0, 0.0)
 
 _TIE_EPS = 1e-12
+# optimal_pulse_probability's exit: the slack on a unit sum, and on which
+# deviation counts as largest
+_UNIT_SUM_EPS = 1e-15
+_MAX_DEV_EPS = 1e-15
 
 # Read on every bin: a module name is cheaper to look up than an enum member.
 _NONE, _REPUMP, _DEPUMP = Pulse.NONE, Pulse.REPUMP, Pulse.DEPUMP
@@ -79,6 +94,47 @@ def kolmogorov_distance(p: Belief, q: Belief) -> float:
     return 0.5 * math.fsum((abs(p.p0 - q.p0), abs(p.p1 - q.p1), abs(p.p2 - q.p2)))
 
 
+def _repump_cannot_help(
+    b0: float, b1: float, b2: float, g0: float, g1: float, g2: float
+) -> bool:
+    """True when no repump pulse, whatever its T in [0, 1], brings the belief
+    (b0, b1, b2) closer to the target (g0, g1, g2) than no pulse does, by the
+    largest-deviation test of the module docstring; the depump test is this
+    one on both triples reversed.
+
+    A deviation within _MAX_DEV_EPS of the largest counts as largest, so a
+    rounded |b1 - g1| one ulp short of the largest still qualifies; no T
+    then beats T = 0 by more than a few 1e-15, far inside the scan's tie
+    tolerance. False unless both triples are non-negative with sums within
+    _UNIT_SUM_EPS of 1: NaN and infinities fail these comparisons without
+    raising, and huge components of opposite signs that sum to 1 would
+    round the scan's distances by more than its tie tolerance.
+    """
+    if not (
+        b0 >= 0.0
+        and b1 >= 0.0
+        and b2 >= 0.0
+        and g0 >= 0.0
+        and g1 >= 0.0
+        and g2 >= 0.0
+        and -_UNIT_SUM_EPS <= b0 + b1 + b2 - 1.0 <= _UNIT_SUM_EPS
+        and -_UNIT_SUM_EPS <= g0 + g1 + g2 - 1.0 <= _UNIT_SUM_EPS
+    ):
+        return False
+    d0 = abs(b0 - g0)
+    d1 = abs(b1 - g1)
+    d2 = abs(b2 - g2)
+    floor = d0 if d0 >= d1 else d1
+    if d2 > floor:
+        floor = d2
+    floor -= _MAX_DEV_EPS
+    return (
+        (d1 >= floor and b1 <= g1 and 2.0 * b0 <= b1)
+        or (d0 >= floor and b0 <= g0)
+        or (d2 >= floor and b2 >= g2)
+    )
+
+
 def optimal_pulse_probability(
     belief: Belief, target: Belief, direction: Pulse
 ) -> tuple[float, float]:
@@ -91,7 +147,9 @@ def optimal_pulse_probability(
     kinks (the piece's sign pattern is read at its midpoint). The roots are
     taken in the cancellation-free form, which keeps the small root
     accurate when the leading coefficient is tiny. Candidates are produced
-    in increasing T, so ties resolve to the smallest minimizing T.
+    in increasing T, so ties resolve to the smallest minimizing T. When no
+    pulse can help (_repump_cannot_help), the scan is skipped and its first
+    candidate, T = 0, is returned with the bits the scan would give it.
     """
     # post-pulse component i is (ci2 * T + ci1) * T + ci0
     b0, b1, b2 = belief
@@ -106,6 +164,13 @@ def optimal_pulse_probability(
     else:
         raise ValueError("direction must be REPUMP or DEPUMP")
     g0, g1, g2 = target
+    if (
+        _repump_cannot_help(b0, b1, b2, g0, g1, g2)
+        if direction == _REPUMP
+        else _repump_cannot_help(b2, b1, b0, g2, g1, g0)
+    ):
+        # the scan's T = 0 distance, the first candidate, which it returns
+        return 0.0, 0.5 * (abs(c00 - g0) + abs(c10 - g1) + abs(c20 - g2))
     kinks = []  # the roots in (0, 1) of a*T^2 + b*T + c for each component
     for a, b, c in ((c02, c01, c00 - g0), (c12, c11, c10 - g1), (c22, c21, c20 - g2)):
         if a == 0.0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -93,8 +94,22 @@ def config_digest(config_text: str) -> str:
     return hashlib.sha256(config_text.encode("utf-8")).hexdigest()
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float, nested in dicts, lists and
+    tuples, replaced by None: strict JSON has no NaN or infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def write_manifest(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as strict JSON, a non-finite float as null."""
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

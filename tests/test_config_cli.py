@@ -583,6 +583,17 @@ class TestCli:
         assert summary["policy"]["t_repump"] == 0.4
         assert (out / "trace_0002.csv").exists()
 
+    def test_feedback_summary_is_strict_json(self, out):
+        # one complete dwell episode: its standard error is undefined
+        rc = main(["feedback", "--traces", "1", "--bins", "20", "--out", str(out)])
+        assert rc == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["dwell_stderr_s"] is None
+
     def test_feedback_inert_controller_reduces_to_open_loop(self, out, tmp_path):
         cfg = tmp_path / "inert.cfg"
         cfg.write_text("policy.t_repump = 0.0\npolicy.t_depump = 0.0\n")

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import reference_decide_action_optimal, reference_optimal_pulse_probability
+from telegraphctl import control
 from telegraphctl.config import feedback_defaults
 from telegraphctl.control import (
+    DEFAULT_TARGET,
     ControlPolicy,
+    _repump_cannot_help,
     decide_action_optimal,
     decide_action_simple,
     kolmogorov_distance,
@@ -237,14 +240,20 @@ class TestMatchesReferenceEnumeration:
             want = reference_decide_action_optimal(b, g)
             assert decision_bits(got) == decision_bits(want), (b, g)
 
-    @pytest.mark.slow
-    def test_random_and_near_boundary_pairs(self):
-        # 100 002 (belief, target) pairs: 25 000 random and 25 001 with a
-        # belief component <= 1e-6, each also swapped
-        pairs = self.random_pairs(25_000, seed=101)
-        pairs += near_boundary_cases(25_000, seed=202)
+    @pytest.mark.parametrize(
+        "n",
+        [
+            pytest.param(500, id="2002"),
+            pytest.param(25_000, id="100002", marks=pytest.mark.slow),
+        ],
+    )
+    def test_random_and_near_boundary_pairs(self, n):
+        # 4n + 2 (belief, target) pairs: n random and n + 1 with a belief
+        # component <= 1e-6, each also swapped
+        pairs = self.random_pairs(n, seed=101)
+        pairs += near_boundary_cases(n, seed=202)
         pairs += [(g, b) for b, g in pairs]
-        assert len(pairs) >= 100_000
+        assert len(pairs) == 4 * n + 2
         self.assert_minimizer_matches(pairs)
         self.assert_policy_matches(pairs)
 
@@ -259,6 +268,77 @@ class TestMatchesReferenceEnumeration:
         pairs = list(itertools.product(lattice_beliefs(), repeat=2))
         self.assert_minimizer_matches(pairs)
         self.assert_policy_matches(pairs)
+
+    def test_edge_grid(self):
+        # Every belief triple of edge values, including non-finite, negative
+        # and unnormalized ones, against a target that is the default, one
+        # with a double-root kink, an unnormalized one, a non-finite one and
+        # a unit-sum one of huge opposite-sign components, whose rounding
+        # breaks the max-deviation identity the no-pulse exit rests on. The
+        # minimizer must return the reference's bits or raise its exception.
+        values = (0.0, -0.0, 5e-324, 1e-300, 1 / 4, 1 / 3, 1 / 2, 2 / 3, 1.0)
+        values += (3 / 2, -1 / 2, 1e300, math.inf, -math.inf, math.nan)
+        targets = (
+            Belief(0.0, 1.0, 0.0),
+            Belief(1 / 4, 1 / 2, 1 / 4),
+            Belief(1 / 2, 3 / 4, 1 / 4),
+            Belief(math.inf, -math.inf, 1.0),
+            Belief(6250000000000001.0, -6250000000000000.0, 0.0),
+        )
+
+        def outcome(minimizer, *args):
+            try:
+                return hex_bits(minimizer(*args))
+            except Exception as exc:
+                return type(exc)
+
+        for b in itertools.product(values, repeat=3):
+            b = Belief(*b)
+            for g in targets:
+                for d in (Pulse.REPUMP, Pulse.DEPUMP):
+                    got = outcome(optimal_pulse_probability, b, g, d)
+                    want = outcome(reference_optimal_pulse_probability, b, g, d)
+                    assert got == want, (b, g, d)
+
+
+def no_pulse_exit(belief, target, direction):
+    """control's exit test for one direction: depumping is repumping on
+    the components reversed."""
+    if direction == Pulse.DEPUMP:
+        belief, target = belief[::-1], target[::-1]
+    return _repump_cannot_help(*belief, *target)
+
+
+class TestNoPulseExit:
+    def test_near_tie_takes_exit(self):
+        # |b1 - 1| rounds one ulp below b0, so the largest deviation is
+        # b1's only within the exit's 1e-15 allowance
+        b = Belief(0.02375133476490034, 0.9762486652350997, 1.0968722970704088e-18)
+        assert abs(b.p1 - 1.0) < b.p0
+        for d in (Pulse.REPUMP, Pulse.DEPUMP):
+            assert no_pulse_exit(b, DEFAULT_TARGET, d)
+            assert optimal_pulse_probability(b, DEFAULT_TARGET, d)[0] == 0.0
+
+    def test_takes_exit_on_closed_loop_calls(self, monkeypatch):
+        # the optimal-policy runs of test_closed_loop_frozen_bits: the exit
+        # holds on most minimizer calls, and only where T = 0 is optimal
+        calls = []
+        minimizer = control.optimal_pulse_probability
+
+        def record(belief, target, direction):
+            calls.append((belief, target, direction))
+            return minimizer(belief, target, direction)
+
+        monkeypatch.setattr(control, "optimal_pulse_probability", record)
+        cfg = replace(feedback_defaults(), policy_mode="optimal")
+        for seed in (0, 1, 2):
+            run_closed_loop(cfg.sim_config(seed), cfg.filter_config(), cfg.control_policy())
+        held = [call for call in calls if no_pulse_exit(*call)]
+        assert len(held) >= 0.9 * len(calls) > 0
+        for call in held:
+            want = reference_optimal_pulse_probability(*call)
+            assert want[0] == 0.0
+            assert hex_bits(minimizer(*call)) == hex_bits(want)
 
 
 class TestDecideSimple:
