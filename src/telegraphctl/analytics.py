@@ -81,16 +81,15 @@ def sweep_repump_rate(
     r_values: Sequence[float],
     duration: float,
     dt: float = 1e-3,
-    p0: Belief = Belief(0.0, 0.0, 1.0),
-    method: str = "linear",
 ) -> list[tuple[float, float]]:
     """Mean middle-state occupancy of the finite-length rate-equation
-    solution, per repump rate. The stationary closed form above is the
-    infinite-horizon oracle for the curve's maximum."""
+    solution from Belief(0, 0, 1), by the linearized step, per repump rate.
+    The stationary closed form above is the infinite-horizon oracle for the
+    curve's maximum."""
     curve = []
     for r in r_values:
         rates = TransitionRates(rates_base.r21, rates_base.r10, float(r))
-        traj = integrate_rate_equations(p0, rates, duration, dt, method)
+        traj = integrate_rate_equations(Belief(0.0, 0.0, 1.0), rates, duration, dt)
         curve.append((float(r), float(traj[:, 1].mean())))
     return curve
 

@@ -228,16 +228,20 @@ def optimal_pulse_probability(
     for t, k in zip(ts, ks):
         if k <= k_tie:
             return t, k
-    raise AssertionError("unreachable")
+    # only NaN distances get here
+    raise ValueError(f"no finite distance for belief {tuple(belief)!r}")
 
 
 def decide_action_simple(belief: Belief, policy: ControlPolicy) -> ControlDecision:
     """Fixed-T threshold rule: repump when p0 strictly dominates, depump when
     p2 strictly dominates, otherwise no pulse; ties mean no pulse. A pulse
-    that would increase the distance to the target is suppressed."""
+    that would increase the distance to the target is suppressed. A belief
+    component that is not finite and >= 0 raises ValueError."""
     if policy.mode != "simple":
         raise ValueError("policy mode must be 'simple'")
     p0, p1, p2 = belief
+    if not (0.0 <= p0 < math.inf and 0.0 <= p1 < math.inf and 0.0 <= p2 < math.inf):
+        raise ValueError(f"belief must be finite and >= 0, got {tuple(belief)!r}")
     k_before = kolmogorov_distance(policy.target, belief)
     if p0 > p1 and p0 > p2:
         action, t = _REPUMP, policy.fixed_t_repump
@@ -255,11 +259,14 @@ def decide_action_simple(belief: Belief, policy: ControlPolicy) -> ControlDecisi
 def decide_action_optimal(belief: Belief, policy: ControlPolicy) -> ControlDecision:
     """Pick the direction and T that minimize the post-pulse distance to the
     target; prefer no pulse, then repumping, on exact ties. T is new on
-    every bin, so its pulse matrix is built uncached."""
+    every bin, so its pulse matrix is built uncached. A belief component
+    that is not finite and >= 0 raises ValueError."""
     if policy.mode != "optimal":
         raise ValueError("policy mode must be 'optimal'")
     target = policy.target
     b0, b1, b2 = belief
+    if not (0.0 <= b0 < math.inf and 0.0 <= b1 < math.inf and 0.0 <= b2 < math.inf):
+        raise ValueError(f"belief must be finite and >= 0, got {tuple(belief)!r}")
     g0, g1, g2 = target
     # kolmogorov_distance(target, belief), inline
     k_none = 0.5 * math.fsum((abs(g0 - b0), abs(g1 - b1), abs(g2 - b2)))

@@ -21,14 +21,9 @@ T on every bin, so its pulse matrix is built afresh (pulsed_belief_once).
 The per-count log-likelihoods come from the memoized table in
 model.log_likelihoods.
 
-The per-bin steps (propagate_prior, posterior_update, pulsed_belief, and
-through them run_filter and trace_log_likelihood) normalize with
-model.normalize_unchecked: normalize's arithmetic without its input
-checks, used only on a stochastic matrix times a finite belief whose
-product is finite and non-negative, and on Bayes weights from a finite,
-non-negative prior. A belief that is not finite raises ValueError, as
-do a negative prior component in the Bayes update and a product that is
-not a valid weight triple.
+Every per-bin step ends in model.normalize_triple, which raises
+ValueError for a weight that is not finite and >= 0, so an invalid belief
+fails with the same error types wherever it enters.
 """
 
 from __future__ import annotations
@@ -49,8 +44,7 @@ from .model import (
     TransitionRates,
     exit_rates,
     log_likelihoods,
-    normalize,
-    normalize_unchecked,
+    normalize_triple,
     pin_unit_sum,
 )
 
@@ -239,39 +233,25 @@ def _zero_weight(p: float) -> float:
     return -math.inf
 
 
-def _posterior(prior: Belief, w0: float, w1: float, w2: float) -> Belief:
-    """The Bayes weights normalized. They lie in [0, 1] unless the prior
-    holds a NaN or an infinity, which normalize then rejects."""
-    p0, p1, p2 = prior
-    if p0 < math.inf and p1 < math.inf and p2 < math.inf:  # false for NaN
-        return normalize_unchecked(w0, w1, w2)
-    return normalize((w0, w1, w2))
-
-
 def posterior_update(prior: Belief, n: int, model: PhotonCountModel) -> Belief:
     """Bayes update: posterior proportional to p(n | alpha) * prior, in the
     log domain so extreme counts cannot underflow unless the posterior is
     genuinely all-zero. Equal log-likelihoods reproduce the prior up to
     roundoff; a delta prior is an exact fixed point for any observation."""
     w0, w1, w2, _ = _bayes_weights(prior, log_likelihoods(model, n))
-    return _posterior(prior, w0, w1, w2)
+    return normalize_triple(w0, w1, w2)
 
 
 def _stochastic_product(m: np.ndarray, belief: Belief) -> Belief:
-    """m @ belief, normalized, for a stochastic, non-negative m: the product
-    of a valid belief is finite and >= 0, so it takes normalize_unchecked;
-    any other goes through normalize, which raises. A belief that is not
-    finite is rejected before the product, where inf * 0 would warn.
-    ndarray.dot is the same dgemv, and gives the same bits, as
+    """m @ belief, normalized, for a stochastic, non-negative m. A belief
+    that is not finite is rejected before the product, where inf * 0 would
+    warn. ndarray.dot is the same dgemv, and gives the same bits, as
     m @ np.asarray(belief); numpy converts a plain tuple faster than the
     Belief subclass."""
     b0, b1, b2 = belief
     if not (math.isfinite(b0) and math.isfinite(b1) and math.isfinite(b2)):
         raise ValueError(f"belief must be finite, got {tuple(belief)!r}")
-    w0, w1, w2 = w = m.dot((b0, b1, b2)).tolist()
-    if 0.0 <= w0 < math.inf and 0.0 <= w1 < math.inf and 0.0 <= w2 < math.inf:
-        return normalize_unchecked(w0, w1, w2)
-    return normalize(w)
+    return normalize_triple(*m.dot((b0, b1, b2)).tolist())
 
 
 def propagate_prior(
@@ -309,10 +289,12 @@ def build_pulse_matrix(transition_probability: float, direction: Pulse) -> np.nd
     u = 1.0 - t
     col_both = pin_unit_sum([u * u, 2.0 * t * u, t * t])  # two addressable atoms
     col_one = pin_unit_sum([0.0, u, t])  # one addressable atom
+    # one flat list is cheaper for np.array than nested ones, and gives the
+    # same values and layout
     if direction == _REPUMP:
-        return np.array([col_both, col_one, [0.0, 0.0, 1.0]]).T
+        return np.array(col_both + col_one + [0.0, 0.0, 1.0]).reshape(3, 3).T
     if direction == _DEPUMP:
-        return np.array([[1.0, 0.0, 0.0], col_one[::-1], col_both[::-1]]).T
+        return np.array([1.0, 0.0, 0.0] + col_one[::-1] + col_both[::-1]).reshape(3, 3).T
     raise ValueError("direction must be REPUMP or DEPUMP")
 
 

@@ -77,11 +77,15 @@ class Belief(NamedTuple):
         return 2 if p2 > p0 else 0
 
 
-def normalize_unchecked(w0: float, w1: float, w2: float) -> Belief:
-    """normalize's arithmetic without its input checks, for Python floats
-    that are finite and >= 0 by construction: a stochastic matrix times a
-    normalized belief, or Bayes weights. A zero sum still raises
-    AllZeroError."""
+def normalize_triple(w0: float, w1: float, w2: float) -> Belief:
+    """Belief proportional to three Python-float weights, each finite and
+    >= 0: the first that is not raises ValueError, and a zero sum raises
+    AllZeroError (numerical collapse; the caller must then recompute in the
+    log domain). This is the one check of a weight triple."""
+    if not (0.0 <= w0 < math.inf and 0.0 <= w1 < math.inf and 0.0 <= w2 < math.inf):
+        # the comparisons are also false for NaN
+        x = next(x for x in (w0, w1, w2) if not 0.0 <= x < math.inf)
+        raise ValueError(f"weights must be finite and >= 0, got {x!r}")
     if math.fsum((w0, w1, w2)) != 1.0:  # a unit sum is kept: idempotent
         s = w0 + w1 + w2
         if s == 0.0:
@@ -91,27 +95,16 @@ def normalize_unchecked(w0: float, w1: float, w2: float) -> Belief:
         # Floor denormal-scale components, then renormalize once more: the
         # floored sum is <= 1, so no kept component drops below the clamp
         # and this call floors nothing.
-        return normalize_unchecked(*(0.0 if x < _CLAMP else x for x in (w0, w1, w2)))
+        return normalize_triple(*(0.0 if x < _CLAMP else x for x in (w0, w1, w2)))
     return Belief(w0, w1, w2)
 
 
 def normalize(weights: Iterable[float]) -> Belief:
-    """Belief proportional to the given non-negative weights.
-
-    Raises AllZeroError when the weights sum to zero (numerical collapse);
-    the caller must then recompute in the log domain.
-    """
-    if hasattr(weights, "tolist"):
-        # an array's Python floats are cheaper to check and add than its
-        # numpy scalars
-        weights = weights.tolist()
+    """normalize_triple for any three weights that float() converts."""
     w = [float(x) for x in weights]
     if len(w) != 3:
         raise ValueError("expected exactly three weights")
-    for x in w:
-        if not 0.0 <= x < math.inf:  # also false for NaN
-            raise ValueError(f"weights must be finite and >= 0, got {x!r}")
-    return normalize_unchecked(*w)
+    return normalize_triple(*w)
 
 
 @dataclass(frozen=True)

@@ -273,11 +273,8 @@ def _posterior(axis: GridAxis, marg: np.ndarray) -> RatePosterior:
 
 def marginal_rates(grid: RateGrid) -> RateMarginals:
     """Expectation and rms of each rate's 1-D marginal."""
-    joint, spec = grid.joint, grid.spec
-    margs = (_ones(3) @ _row_sums(joint), *_other_marginals(joint))
-    return RateMarginals._make(
-        _posterior(spec.axis(name), m) for name, m in zip(RATE_NAMES, margs)
-    )
+    m21 = _ones(3) @ _row_sums(grid.joint)
+    return RateMarginals._make(_BinMarginals(grid.spec, grid.joint, m21))
 
 
 class _BinMarginals:

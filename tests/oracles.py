@@ -14,7 +14,7 @@ from telegraphctl.errors import (
     TraceFormatError,
 )
 from telegraphctl.filtering import pulsed_belief
-from telegraphctl.model import Belief, Pulse, TraceRecord, TransitionRates
+from telegraphctl.model import Belief, Pulse, TraceRecord, TransitionRates, pin_unit_sum
 from telegraphctl.rategrid import (
     RATE_NAMES,
     RateGrid,
@@ -132,6 +132,19 @@ def reference_normalize(weights) -> tuple[float, float, float]:
     return tuple(p)
 
 
+def reference_pulse_matrix(t: float, direction: Pulse) -> np.ndarray:
+    """The pulse matrix built from nested column lists and transposed: the
+    binomial flip columns of two and of one addressable atom, each pinned
+    to an exact unit sum, and the absorbing column; depumping is the
+    index-reversed mirror."""
+    u = 1.0 - t
+    col_both = pin_unit_sum([u * u, 2.0 * t * u, t * t])
+    col_one = pin_unit_sum([0.0, u, t])
+    if direction == Pulse.REPUMP:
+        return np.array([col_both, col_one, [0.0, 0.0, 1.0]]).T
+    return np.array([[1.0, 0.0, 0.0], col_one[::-1], col_both[::-1]]).T
+
+
 _TIE_EPS = 1e-12
 
 
@@ -188,7 +201,7 @@ def reference_optimal_pulse_probability(
     for t, k in zip(candidates, k_vals):
         if k <= k_tie:
             return t, k
-    raise AssertionError("unreachable")
+    raise ValueError("no finite distance")  # NaN distances only
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:

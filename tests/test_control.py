@@ -5,7 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import reference_decide_action_optimal, reference_optimal_pulse_probability
+from oracles import (
+    reference_decide_action_optimal,
+    reference_optimal_pulse_probability,
+    reference_pulse_matrix,
+)
 from telegraphctl import control
 from telegraphctl.config import feedback_defaults
 from telegraphctl.control import (
@@ -131,6 +135,17 @@ class TestPulseMatrix:
         for args in ((1.5, Pulse.REPUMP), (-0.1, Pulse.DEPUMP), (0.4, Pulse.NONE)):
             with pytest.raises(ValueError):
                 build_pulse_matrix(*args)
+
+    def test_builder_matches_nested_reference(self):
+        # the flat build against the nested one: the same values, sign bits
+        # and strides, so the 3x3 dgemv over either gives the same bits
+        rng = np.random.default_rng(29)
+        edges = [0.0, 0.5, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 2.0**-53, 0.4]
+        for t in edges + rng.random(2000).tolist():
+            for d in (Pulse.REPUMP, Pulse.DEPUMP):
+                got, want = build_pulse_matrix(t, d), reference_pulse_matrix(t, d)
+                assert hex_bits(got.ravel()) == hex_bits(want.ravel()), (t, d)
+                assert got.dtype == want.dtype and got.strides == want.strides
 
     def test_cached_matrix_is_read_only(self):
         m = pulse_matrix(0.4, Pulse.REPUMP)
@@ -414,6 +429,28 @@ class TestDecideOptimal:
             decide_action_optimal(TARGET, ControlPolicy(mode="simple"))
         with pytest.raises(ValueError):
             decide_action_simple(TARGET, ControlPolicy(mode="optimal"))
+
+
+@pytest.mark.parametrize(
+    "belief", [Belief(math.nan, 0.5, 0.5), Belief(1.5, -0.5, 0.0)], ids=["nan", "negative"]
+)
+@pytest.mark.parametrize(
+    "decide, mode",
+    [(decide_action_simple, "simple"), (decide_action_optimal, "optimal")],
+    ids=["simple", "optimal"],
+)
+def test_invalid_belief_rejected(decide, mode, belief):
+    # a component that is not finite and >= 0 is the normalizer's error, not
+    # an AssertionError from the optimal scan or a pulse fired on it
+    with pytest.raises(ValueError, match=r"^belief must be finite and >= 0, got \("):
+        decide(belief, ControlPolicy(mode=mode))
+
+
+def test_nan_distance_raises_value_error():
+    # only NaN distances reach the end of the candidate scan
+    for d in (Pulse.REPUMP, Pulse.DEPUMP):
+        with pytest.raises(ValueError, match="no finite distance"):
+            optimal_pulse_probability(Belief(math.nan, 0.5, 0.5), DEFAULT_TARGET, d)
 
 
 def test_decisions_are_stateless():

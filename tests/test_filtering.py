@@ -20,6 +20,7 @@ from telegraphctl.filtering import (
     posterior_update,
     propagate_prior,
     pulsed_belief,
+    pulsed_belief_once,
     run_filter,
     step_matrix,
     trace_log_likelihood,
@@ -29,6 +30,7 @@ from telegraphctl.model import (
     Belief,
     PhotonCountModel,
     Pulse,
+    TraceRecord,
     TransitionRates,
     normalize,
 )
@@ -276,10 +278,10 @@ class TestPropagatePrior:
 
 # Invalid beliefs: a non-finite one is rejected before the product with a
 # cached stochastic matrix, so inf * 0 cannot warn; the product of a
-# negative one is not a valid weight triple, so it goes through normalize
-# and raises its error type (it gives a negative entry 0 under each matrix
-# below). The Bayes update rejects a negative component as it weighs it,
-# and the weights of a non-finite one through normalize. A Belief has three
+# negative one is not a valid weight triple, so the normalizer raises its
+# error type (it gives a negative entry 0 under each matrix below). The
+# Bayes update rejects a negative component as it weighs it, and the NaN
+# weights of a non-finite one through the normalizer. A Belief has three
 # entries; a plain sequence of another length does not unpack into one.
 INVALID_BELIEFS = [
     (Belief(-0.5, 0.75, 0.75), ValueError),
@@ -308,6 +310,61 @@ INVALID_BELIEFS = [
 def test_invalid_belief_raises_normalize_error(step, belief, error):
     with pytest.raises(error):
         step(belief)
+
+
+_RATES = TransitionRates(35.0, 50.0, 59.0)
+_STEPS = {
+    "normalize": normalize,
+    "linear": lambda b: propagate_prior(b, _RATES, 1e-3),
+    "exact": lambda b: propagate_prior(b, _RATES, 1e-3, "exact"),
+    "posterior": lambda b: posterior_update(b, 28, PhotonCountModel((40.0, 28.0, 16.0))),
+    "repump": lambda b: pulsed_belief(b, 0.4, Pulse.REPUMP),
+    "depump": lambda b: pulsed_belief(b, 0.4, Pulse.DEPUMP),
+    "repump_once": lambda b: pulsed_belief_once(b, 0.4, Pulse.REPUMP),
+    "depump_once": lambda b: pulsed_belief_once(b, 0.4, Pulse.DEPUMP),
+}
+_PRODUCTS = ("linear", "exact", "repump", "depump", "repump_once", "depump_once")
+_NOT_FINITE = "^belief must be finite, got "
+_WEIGHT = "^weights must be finite and >= 0, got "
+# (steps, belief, error type, message pattern): the non-finite, negative and
+# all-zero inputs of the per-bin steps, and the error each raises
+ERROR_PARITY = [
+    (("normalize",), (math.nan, 0.5, 0.5), ValueError, _WEIGHT + "nan$"),
+    (("normalize",), (0.0, 1.0, math.inf), ValueError, _WEIGHT + "inf$"),
+    (("normalize",), (-math.inf, 1.0, 1.0), ValueError, _WEIGHT + "-inf$"),
+    (("normalize",), (-0.5, 0.75, 0.75), ValueError, _WEIGHT + "-0.5$"),
+    (("normalize",), (1.5, -0.5, math.nan), ValueError, _WEIGHT + "-0.5$"),
+    (_PRODUCTS, (math.nan, 0.5, 0.5), ValueError,
+     _NOT_FINITE + r"\(nan, 0.5, 0.5\)$"),
+    (_PRODUCTS, (0.0, 1.0, math.inf), ValueError,
+     _NOT_FINITE + r"\(0.0, 1.0, inf\)$"),
+    (_PRODUCTS, (-math.inf, 1.0, 1.0), ValueError,
+     _NOT_FINITE + r"\(-inf, 1.0, 1.0\)$"),
+    # a negative product names its first bad weight
+    (_PRODUCTS, (-0.5, 0.75, 0.75), ValueError, _WEIGHT + "-0"),
+    (("depump_once",), (1.5, -0.5, 0.0), ValueError, _WEIGHT + "-0.3$"),
+    (("posterior",), (math.nan, 0.5, 0.5), ValueError, _WEIGHT + "nan$"),
+    (("posterior",), (0.5, math.nan, 0.5), ValueError, _WEIGHT + "nan$"),
+    (("posterior",), (0.0, 1.0, math.inf), ValueError, _WEIGHT + "nan$"),
+    (("posterior",), (-math.inf, 1.0, 1.0), ValueError,
+     "^belief components must be >= 0, got -inf$"),
+    (("posterior",), (1.5, -0.5, 0.0), ValueError,
+     "^belief components must be >= 0, got -0.5$"),
+    (tuple(_STEPS), (0.0, 0.0, 0.0), AllZeroError, "zero"),
+]
+
+
+@pytest.mark.parametrize(
+    "step, belief, error, message",
+    [
+        pytest.param(step, belief, error, message, id=f"{step}-{belief}")
+        for steps, belief, error, message in ERROR_PARITY
+        for step in steps
+    ],
+)
+def test_error_parity(step, belief, error, message):
+    with pytest.raises(error, match=message):
+        _STEPS[step](Belief(*belief))
 
 
 class TestPosteriorUpdate:
@@ -451,6 +508,15 @@ class TestRunFilter:
         with pytest.raises(GuardViolatedError):
             FilterConfig(default_model, paper_rates, 0.01)
         FilterConfig(default_model, paper_rates, 0.01, propagation="exact")
+
+    def test_impossible_count_collapses(self, default_model, paper_rates):
+        # a count whose pmf rounds to zero in every state: the filter names
+        # the bin it collapsed in, and the trace is impossible
+        records = [TraceRecord(0, 28), TraceRecord(1, 10**308), TraceRecord(2, 28)]
+        config = FilterConfig(default_model, paper_rates, 1e-3)
+        with pytest.raises(AllZeroError, match="^bin 1: "):
+            run_filter(records, config)
+        assert trace_log_likelihood(records, config) == -math.inf
 
 
 def test_true_model_log_likelihood_dominates(default_model, paper_rates):

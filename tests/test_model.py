@@ -15,7 +15,7 @@ from telegraphctl.model import (
     exit_rates,
     log_likelihoods,
     normalize,
-    normalize_unchecked,
+    normalize_triple,
 )
 
 from oracles import full_generator, reference_normalize
@@ -110,13 +110,40 @@ def _bits(values) -> tuple[str, ...]:
     return tuple(float(x).hex() for x in values)
 
 
-def test_unchecked_normalization_matches_normalize_bitwise():
+def test_normalize_triple_matches_normalize_bitwise():
     triples = _valid_triples(100_000, seed=11)
     assert sum(1 for w in triples if 0.0 < min(w) < 1e-300) > 10_000
     for w in triples:
         expected = _bits(normalize(w))
-        assert _bits(normalize_unchecked(*w)) == expected, w
+        assert _bits(normalize_triple(*w)) == expected, w
         assert _bits(reference_normalize(w)) == expected, w
+
+
+@pytest.mark.parametrize(
+    "weights, bad",
+    [
+        ((math.nan, 0.5, 0.5), "nan"),
+        ((0.5, math.inf, 0.5), "inf"),
+        ((0.5, 0.5, -math.inf), "-inf"),
+        ((-0.25, 0.5, 0.5), "-0.25"),
+        ((0.5, -5e-324, 0.5), "-5e-324"),
+        # the first bad weight is named, whatever follows it
+        ((1.0, -0.5, math.nan), "-0.5"),
+        ((math.inf, math.nan, -1.0), "inf"),
+        ((0.0, math.inf, -math.inf), "inf"),
+    ],
+)
+def test_normalize_triple_rejects_invalid_weights(weights, bad):
+    with pytest.raises(ValueError, match=f"^weights must be finite and >= 0, got {bad}$"):
+        normalize_triple(*weights)
+
+
+def test_normalize_triple_accepts_negative_zero_and_rejects_all_zero():
+    assert normalize_triple(-0.0, 1.0, 0.0) == Belief(0.0, 1.0, 0.0)
+    assert normalize_triple(-0.0, 2.0, 2.0) == Belief(0.0, 0.5, 0.5)
+    for zeros in ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)):
+        with pytest.raises(AllZeroError, match="^weights sum to zero$"):
+            normalize_triple(*zeros)
 
 
 @pytest.mark.parametrize(
