@@ -19,8 +19,6 @@ from .control import (
     ControlDecision,
     ControlPolicy,
     decide_action,
-    decide_action_optimal,
-    decide_action_simple,
     kolmogorov_distance,
     optimal_pulse_probability,
 )
@@ -82,8 +80,8 @@ __all__ = [
     "DwellStats", "OccupancySummary", "dwell_time", "integrate_rate_equations",
     "mean_occupancy", "optimal_repump_rate", "stationary_belief",
     "sweep_repump_rate", "time_to_target",
-    "ControlDecision", "ControlPolicy", "decide_action", "decide_action_optimal",
-    "decide_action_simple", "kolmogorov_distance", "optimal_pulse_probability",
+    "ControlDecision", "ControlPolicy", "decide_action", "kolmogorov_distance",
+    "optimal_pulse_probability",
     "AllZeroError", "CapExceededError", "ConfigError", "EmptyEnsembleError",
     "GuardViolatedError", "NeverReachedError", "NoEpisodesError",
     "NotConvergedWarning", "TelegraphError", "TraceFormatError", "ZeroMeanError",

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .filtering import pulsed_belief, pulsed_belief_once
 from .model import Belief, Pulse
-from .simulate import PulseSpec
 
 # Result of the tuning sweep with the default configuration (seeded, see
 # experiments.tune_fixed_pulse_probability).
@@ -81,12 +80,6 @@ class ControlDecision(NamedTuple):
     predicted_belief: Belief
     distance_before: float
     distance_after: float
-
-    def pulse_spec(self) -> Optional[PulseSpec]:
-        if self.action == _NONE:
-            return None
-        # a decision's direction and T are valid by construction
-        return PulseSpec._make((self.action, self.transition_probability))
 
 
 def kolmogorov_distance(p: Belief, q: Belief) -> float:
@@ -232,13 +225,11 @@ def optimal_pulse_probability(
     raise ValueError(f"no finite distance for belief {tuple(belief)!r}")
 
 
-def decide_action_simple(belief: Belief, policy: ControlPolicy) -> ControlDecision:
+def _decide_simple(belief: Belief, policy: ControlPolicy) -> ControlDecision:
     """Fixed-T threshold rule: repump when p0 strictly dominates, depump when
     p2 strictly dominates, otherwise no pulse; ties mean no pulse. A pulse
     that would increase the distance to the target is suppressed. A belief
     component that is not finite and >= 0 raises ValueError."""
-    if policy.mode != "simple":
-        raise ValueError("policy mode must be 'simple'")
     p0, p1, p2 = belief
     if not (0.0 <= p0 < math.inf and 0.0 <= p1 < math.inf and 0.0 <= p2 < math.inf):
         raise ValueError(f"belief must be finite and >= 0, got {tuple(belief)!r}")
@@ -256,13 +247,11 @@ def decide_action_simple(belief: Belief, policy: ControlPolicy) -> ControlDecisi
     return ControlDecision(action, t, predicted, k_before, k_after)
 
 
-def decide_action_optimal(belief: Belief, policy: ControlPolicy) -> ControlDecision:
+def _decide_optimal(belief: Belief, policy: ControlPolicy) -> ControlDecision:
     """Pick the direction and T that minimize the post-pulse distance to the
     target; prefer no pulse, then repumping, on exact ties. T is new on
     every bin, so its pulse matrix is built uncached. A belief component
     that is not finite and >= 0 raises ValueError."""
-    if policy.mode != "optimal":
-        raise ValueError("policy mode must be 'optimal'")
     target = policy.target
     b0, b1, b2 = belief
     if not (0.0 <= b0 < math.inf and 0.0 <= b1 < math.inf and 0.0 <= b2 < math.inf):
@@ -282,6 +271,7 @@ def decide_action_optimal(belief: Belief, policy: ControlPolicy) -> ControlDecis
 
 
 def decide_action(belief: Belief, policy: ControlPolicy) -> ControlDecision:
+    """The policy's decision for a posterior belief, by its mode."""
     if policy.mode == "simple":
-        return decide_action_simple(belief, policy)
-    return decide_action_optimal(belief, policy)
+        return _decide_simple(belief, policy)
+    return _decide_optimal(belief, policy)

@@ -27,6 +27,9 @@ from .simulate import (
     states_at_bin_ends,
 )
 
+# Read on every bin: a module name is cheaper to look up than an enum member.
+_NONE = Pulse.NONE
+
 
 class FeedbackController:
     """Streaming filter + policy, usable as the simulator's control hook.
@@ -54,7 +57,10 @@ class FeedbackController:
         self.posteriors.append(post)
         self.decisions.append(decision)
         self.belief = decision.predicted_belief
-        return decision.pulse_spec()
+        if decision.action == _NONE:
+            return None
+        # a decision's direction and T are valid by construction
+        return PulseSpec._make((decision.action, decision.transition_probability))
 
 
 @dataclass
@@ -128,17 +134,14 @@ def tune_fixed_pulse_probability(
     t_values: Sequence[float] = tuple(i / 10 for i in range(1, 10)),
     n_traces: int = 20,
     master_seed: int = 0x7E1E6_0001,
-    target: Belief = DEFAULT_TARGET,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Coarse sweep of the shared fixed transition probability maximizing the
-    mean posterior occupancy of the target state; returns the maximizer and
-    the (T, mean_p_target) table."""
+    mean posterior occupancy of the default target state; returns the
+    maximizer and the (T, mean_p_target) table."""
     table = []
-    target_index = target.argmax()
+    target_index = DEFAULT_TARGET.argmax()
     for t in t_values:
-        policy = ControlPolicy(
-            mode="simple", fixed_t_repump=t, fixed_t_depump=t, target=target
-        )
+        policy = ControlPolicy(mode="simple", fixed_t_repump=t, fixed_t_depump=t)
         runs = run_closed_loop_ensemble(
             sim_config, filter_config, policy, n_traces, master_seed
         )
@@ -166,34 +169,3 @@ def observe_chain(
         TraceRecord(i, emit_photons(state, model, rng), Pulse.NONE, true_state=state)
         for i, state in enumerate(states_at_bin_ends(events, bin_time))
     ]
-
-
-def rebin_counts(
-    fine_records: Sequence[TraceRecord], factor: int
-) -> list[TraceRecord]:
-    """Aggregate consecutive fine bins into coarse bins.
-
-    Poisson counts add over disjoint intervals, so summed fine-bin counts
-    are distributed exactly like counts collected at the coarse bin length,
-    while the underlying hidden path and shot noise stay shared across all
-    rebinnings. The coarse bin's true state is the end state of its last
-    fine bin.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if any(r.pulse for r in fine_records):
-        raise ValueError("rebinning expects open-loop traces")
-    n_coarse = len(fine_records) // factor
-    out = []
-    for i in range(n_coarse):
-        chunk = fine_records[i * factor : (i + 1) * factor]
-        out.append(
-            TraceRecord(
-                i,
-                sum(r.photon_count for r in chunk),
-                Pulse.NONE,
-                true_state=chunk[-1].true_state,
-            )
-        )
-    return out
-

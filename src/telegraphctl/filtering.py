@@ -22,8 +22,9 @@ The per-count log-likelihoods come from the memoized table in
 model.log_likelihoods.
 
 Every per-bin step ends in model.normalize_triple, which raises
-ValueError for a weight that is not finite and >= 0, so an invalid belief
-fails with the same error types wherever it enters.
+ValueError for a weight that is not finite and >= 0; the matrix products
+reject such a belief component before the product, with the policies'
+message.
 """
 
 from __future__ import annotations
@@ -244,13 +245,13 @@ def posterior_update(prior: Belief, n: int, model: PhotonCountModel) -> Belief:
 
 def _stochastic_product(m: np.ndarray, belief: Belief) -> Belief:
     """m @ belief, normalized, for a stochastic, non-negative m. A belief
-    that is not finite is rejected before the product, where inf * 0 would
-    warn. ndarray.dot is the same dgemv, and gives the same bits, as
-    m @ np.asarray(belief); numpy converts a plain tuple faster than the
-    Belief subclass."""
+    component that is not finite and >= 0 is rejected before the product,
+    where inf * 0 would warn and a negative one could cancel. ndarray.dot
+    is the same dgemv, and gives the same bits, as m @ np.asarray(belief);
+    numpy converts a plain tuple faster than the Belief subclass."""
     b0, b1, b2 = belief
-    if not (math.isfinite(b0) and math.isfinite(b1) and math.isfinite(b2)):
-        raise ValueError(f"belief must be finite, got {tuple(belief)!r}")
+    if not (0.0 <= b0 < math.inf and 0.0 <= b1 < math.inf and 0.0 <= b2 < math.inf):
+        raise ValueError(f"belief must be finite and >= 0, got {tuple(belief)!r}")
     return normalize_triple(*m.dot((b0, b1, b2)).tolist())
 
 
@@ -261,11 +262,8 @@ def propagate_prior(
 
     method="linear" is the per-bin linearized step (guard enforced);
     method="exact" uses the matrix exponential and serves as the oracle.
+    Both builders reject dt < 0; dt = 0 is the identity.
     """
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
-    if dt == 0.0:
-        return posterior
     m = transition_matrix(
         float(rates.r21), float(rates.r10), float(rates.r_repump), dt, method
     )

@@ -306,11 +306,22 @@ class _BinMarginals:
         }
 
 
+def _check_threshold(threshold: float) -> None:
+    """The stop rule's threshold must be a finite number >= 0: NaN or
+    infinity would fire at once, and a negative threshold never."""
+    if not 0.0 <= threshold < math.inf:  # NaN too
+        raise ValueError(
+            f"stop_threshold must be a finite number >= 0, got {threshold!r}"
+        )
+
+
 def stopping_check(marginals: Iterable[RatePosterior], threshold: float = 0.10) -> bool:
     """True when every rate posterior has rms/mean at or below threshold.
     ``marginals`` are the posteriors in RATE_NAMES order (a RateMarginals,
     or an iterable that computes each as it is read); the check ends at
-    the first that fails."""
+    the first that fails. A threshold that is not finite and >= 0 raises
+    ValueError."""
+    _check_threshold(threshold)
     for name, post in zip(RATE_NAMES, marginals):
         if post.mean == 0.0:
             if post.rms > 0.0:
@@ -361,8 +372,7 @@ def run_estimation(
     acquisition truncates there (the experimental protocol); otherwise the
     full trace is consumed and the trigger bin is only recorded, which keeps
     the final posterior comparable across seeds. stop_threshold must be a
-    finite number >= 0: NaN or infinity would fire at the first bin, and a
-    negative threshold never.
+    finite number >= 0, checked before the first bin.
 
     The grid always propagates exactly; ``method`` stays for callers that
     name it, and any value but "exact" raises ValueError. An AllZeroError
@@ -371,10 +381,7 @@ def run_estimation(
     """
     if method != "exact":
         raise ValueError(f"the rate grid propagates exactly only, got method {method!r}")
-    if not 0.0 <= stop_threshold < math.inf:  # NaN too
-        raise ValueError(
-            f"stop_threshold must be a finite number >= 0, got {stop_threshold!r}"
-        )
+    _check_threshold(stop_threshold)
     if any(rec.pulse for rec in records):
         raise TraceFormatError(
             "rate estimation expects open-loop traces without pulses"

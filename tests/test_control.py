@@ -16,8 +16,7 @@ from telegraphctl.control import (
     DEFAULT_TARGET,
     ControlPolicy,
     _repump_cannot_help,
-    decide_action_optimal,
-    decide_action_simple,
+    decide_action,
     kolmogorov_distance,
     optimal_pulse_probability,
 )
@@ -251,7 +250,7 @@ class TestMatchesReferenceEnumeration:
     @staticmethod
     def assert_policy_matches(pairs):
         for b, g in pairs:
-            got = decide_action_optimal(b, ControlPolicy(mode="optimal", target=g))
+            got = decide_action(b, ControlPolicy(mode="optimal", target=g))
             want = reference_decide_action_optimal(b, g)
             assert decision_bits(got) == decision_bits(want), (b, g)
 
@@ -359,32 +358,32 @@ class TestNoPulseExit:
 class TestDecideSimple:
     def test_bottom_dominant_fires_repump(self):
         policy = ControlPolicy(fixed_t_repump=0.5, fixed_t_depump=0.5)
-        decision = decide_action_simple(Belief(0.6, 0.3, 0.1), policy)
+        decision = decide_action(Belief(0.6, 0.3, 0.1), policy)
         assert decision.action == Pulse.REPUMP
         assert decision.transition_probability == 0.5
         assert decision.distance_after <= decision.distance_before
 
     def test_target_dominant_no_action(self):
         policy = ControlPolicy()
-        decision = decide_action_simple(Belief(0.1, 0.8, 0.1), policy)
+        decision = decide_action(Belief(0.1, 0.8, 0.1), policy)
         assert decision.action == Pulse.NONE
         assert decision.predicted_belief == Belief(0.1, 0.8, 0.1)
 
     def test_tie_means_no_action(self):
         policy = ControlPolicy()
         third = 1.0 / 3.0
-        assert decide_action_simple(Belief(third, third, third), policy).action == Pulse.NONE
-        assert decide_action_simple(Belief(0.4, 0.4, 0.2), policy).action == Pulse.NONE
+        assert decide_action(Belief(third, third, third), policy).action == Pulse.NONE
+        assert decide_action(Belief(0.4, 0.4, 0.2), policy).action == Pulse.NONE
 
     def test_top_dominant_fires_depump(self):
         policy = ControlPolicy()
-        assert decide_action_simple(Belief(0.1, 0.2, 0.7), policy).action == Pulse.DEPUMP
+        assert decide_action(Belief(0.1, 0.2, 0.7), policy).action == Pulse.DEPUMP
 
     def test_harmful_pulse_suppressed(self):
         # near-tie belief with a large fixed T: the pulse would overshoot and
         # increase the distance, so no pulse is issued
         policy = ControlPolicy(fixed_t_repump=0.9, fixed_t_depump=0.9)
-        decision = decide_action_simple(Belief(0.34, 0.33, 0.33), policy)
+        decision = decide_action(Belief(0.34, 0.33, 0.33), policy)
         assert decision.action == Pulse.NONE
 
     def test_improvement_invariant_on_random_beliefs(self):
@@ -392,7 +391,7 @@ class TestDecideSimple:
         for b in random_beliefs(500, seed=31):
             t = float(rng.random())
             policy = ControlPolicy(fixed_t_repump=t, fixed_t_depump=t)
-            d = decide_action_simple(b, policy)
+            d = decide_action(b, policy)
             if d.action != Pulse.NONE:
                 assert d.distance_after <= d.distance_before
 
@@ -400,11 +399,11 @@ class TestDecideSimple:
 class TestDecideOptimal:
     def test_at_target_no_action(self):
         policy = ControlPolicy(mode="optimal")
-        assert decide_action_optimal(TARGET, policy).action == Pulse.NONE
+        assert decide_action(TARGET, policy).action == Pulse.NONE
 
     def test_bottom_state_repump_half(self):
         policy = ControlPolicy(mode="optimal")
-        d = decide_action_optimal(Belief(1.0, 0.0, 0.0), policy)
+        d = decide_action(Belief(1.0, 0.0, 0.0), policy)
         assert d.action == Pulse.REPUMP
         assert d.transition_probability == pytest.approx(0.5, abs=1e-6)
         assert d.distance_after == pytest.approx(0.5, abs=1e-6)
@@ -415,35 +414,32 @@ class TestDecideOptimal:
         t_r, k_r = optimal_pulse_probability(b, TARGET, Pulse.REPUMP)
         t_d, k_d = optimal_pulse_probability(b, TARGET, Pulse.DEPUMP)
         assert k_r == pytest.approx(k_d, abs=1e-12)  # symmetry
-        d = decide_action_optimal(b, policy)
+        d = decide_action(b, policy)
         assert d.action == Pulse.REPUMP  # tie-break after no-op check
 
     def test_never_worse_than_no_action(self):
         policy = ControlPolicy(mode="optimal")
         for b in random_beliefs(300, seed=77):
-            d = decide_action_optimal(b, policy)
+            d = decide_action(b, policy)
             assert d.distance_after <= d.distance_before + 1e-12
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            decide_action_optimal(TARGET, ControlPolicy(mode="simple"))
-        with pytest.raises(ValueError):
-            decide_action_simple(TARGET, ControlPolicy(mode="optimal"))
 
 
 @pytest.mark.parametrize(
     "belief", [Belief(math.nan, 0.5, 0.5), Belief(1.5, -0.5, 0.0)], ids=["nan", "negative"]
 )
-@pytest.mark.parametrize(
-    "decide, mode",
-    [(decide_action_simple, "simple"), (decide_action_optimal, "optimal")],
-    ids=["simple", "optimal"],
-)
-def test_invalid_belief_rejected(decide, mode, belief):
+@pytest.mark.parametrize("mode", ["simple", "optimal"])
+def test_invalid_belief_rejected(mode, belief):
     # a component that is not finite and >= 0 is the normalizer's error, not
     # an AssertionError from the optimal scan or a pulse fired on it
     with pytest.raises(ValueError, match=r"^belief must be finite and >= 0, got \("):
-        decide(belief, ControlPolicy(mode=mode))
+        decide_action(belief, ControlPolicy(mode=mode))
+
+
+def test_unknown_mode_rejected():
+    # decide_action reads any mode but "simple" as optimal, so the policy
+    # is where a bad mode must fail
+    with pytest.raises(ValueError, match="mode must be 'simple' or 'optimal'"):
+        ControlPolicy(mode="greedy")
 
 
 def test_nan_distance_raises_value_error():
@@ -457,12 +453,12 @@ def test_decisions_are_stateless():
     # same belief, same decision, no hysteresis
     policy = ControlPolicy()
     b = Belief(0.55, 0.25, 0.2)
-    first = decide_action_simple(b, policy)
+    first = decide_action(b, policy)
     for _ in range(5):
-        assert decide_action_simple(b, policy) == first
+        assert decide_action(b, policy) == first
     opt_policy = ControlPolicy(mode="optimal")
-    first_opt = decide_action_optimal(b, opt_policy)
-    assert decide_action_optimal(b, opt_policy) == first_opt
+    first_opt = decide_action(b, opt_policy)
+    assert decide_action(b, opt_policy) == first_opt
 
 
 def test_optimal_closed_loop_leaves_pulse_cache_alone():

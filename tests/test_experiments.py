@@ -14,7 +14,6 @@ from telegraphctl.simulate import SimConfig, run_chain, run_trace
 from telegraphctl.traceio import format_trace
 from telegraphctl.experiments import (
     observe_chain,
-    rebin_counts,
     run_closed_loop,
     run_closed_loop_ensemble,
     run_open_loop_ensemble,
@@ -140,18 +139,6 @@ def test_pure_decay_first_dominance_matches_first_passage(default_model):
     # first-passage mean 1/35 = 28.6 ms plus filter lag, minus a small bias
     # from conditioning on detection; Monte-Carlo tolerance
     assert 25.0 < mean_ms < 34.0
-
-
-def test_rebin_counts_sums_and_truncates(default_model, paper_rates):
-    sc = SimConfig(paper_rates, default_model, 1e-3, 101, 2, 3)
-    runs = run_open_loop_ensemble(sc, None, 1, 0)
-    fine = runs[0].records
-    coarse = rebin_counts(fine, 10)
-    assert len(coarse) == 10
-    assert coarse[0].photon_count == sum(r.photon_count for r in fine[:10])
-    assert coarse[-1].true_state == fine[99].true_state
-    with pytest.raises(ValueError):
-        rebin_counts(fine, 0)
 
 
 def _belief_hex(beliefs) -> str:

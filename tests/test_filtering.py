@@ -276,13 +276,12 @@ class TestPropagatePrior:
                     assert diff < load * load
 
 
-# Invalid beliefs: a non-finite one is rejected before the product with a
-# cached stochastic matrix, so inf * 0 cannot warn; the product of a
-# negative one is not a valid weight triple, so the normalizer raises its
-# error type (it gives a negative entry 0 under each matrix below). The
-# Bayes update rejects a negative component as it weighs it, and the NaN
-# weights of a non-finite one through the normalizer. A Belief has three
-# entries; a plain sequence of another length does not unpack into one.
+# Invalid beliefs: a component that is not finite and >= 0 is rejected
+# before the product with a cached stochastic matrix, so inf * 0 cannot
+# warn and a negative one cannot cancel. The Bayes update rejects a
+# negative component as it weighs it, and the NaN weights of a non-finite
+# one through the normalizer. A Belief has three entries; a plain sequence
+# of another length does not unpack into one.
 INVALID_BELIEFS = [
     (Belief(-0.5, 0.75, 0.75), ValueError),
     (Belief(math.nan, 0.5, 0.5), ValueError),
@@ -317,14 +316,19 @@ _STEPS = {
     "normalize": normalize,
     "linear": lambda b: propagate_prior(b, _RATES, 1e-3),
     "exact": lambda b: propagate_prior(b, _RATES, 1e-3, "exact"),
+    "linear_dt0": lambda b: propagate_prior(b, _RATES, 0.0),
+    "exact_dt0": lambda b: propagate_prior(b, _RATES, 0.0, "exact"),
     "posterior": lambda b: posterior_update(b, 28, PhotonCountModel((40.0, 28.0, 16.0))),
     "repump": lambda b: pulsed_belief(b, 0.4, Pulse.REPUMP),
     "depump": lambda b: pulsed_belief(b, 0.4, Pulse.DEPUMP),
     "repump_once": lambda b: pulsed_belief_once(b, 0.4, Pulse.REPUMP),
     "depump_once": lambda b: pulsed_belief_once(b, 0.4, Pulse.DEPUMP),
 }
-_PRODUCTS = ("linear", "exact", "repump", "depump", "repump_once", "depump_once")
-_NOT_FINITE = "^belief must be finite, got "
+_PRODUCTS = (
+    "linear", "exact", "linear_dt0", "exact_dt0",
+    "repump", "depump", "repump_once", "depump_once",
+)
+_BELIEF = "^belief must be finite and >= 0, got "
 _WEIGHT = "^weights must be finite and >= 0, got "
 # (steps, belief, error type, message pattern): the non-finite, negative and
 # all-zero inputs of the per-bin steps, and the error each raises
@@ -335,14 +339,19 @@ ERROR_PARITY = [
     (("normalize",), (-0.5, 0.75, 0.75), ValueError, _WEIGHT + "-0.5$"),
     (("normalize",), (1.5, -0.5, math.nan), ValueError, _WEIGHT + "-0.5$"),
     (_PRODUCTS, (math.nan, 0.5, 0.5), ValueError,
-     _NOT_FINITE + r"\(nan, 0.5, 0.5\)$"),
+     _BELIEF + r"\(nan, 0.5, 0.5\)$"),
     (_PRODUCTS, (0.0, 1.0, math.inf), ValueError,
-     _NOT_FINITE + r"\(0.0, 1.0, inf\)$"),
+     _BELIEF + r"\(0.0, 1.0, inf\)$"),
     (_PRODUCTS, (-math.inf, 1.0, 1.0), ValueError,
-     _NOT_FINITE + r"\(-inf, 1.0, 1.0\)$"),
-    # a negative product names its first bad weight
-    (_PRODUCTS, (-0.5, 0.75, 0.75), ValueError, _WEIGHT + "-0"),
-    (("depump_once",), (1.5, -0.5, 0.0), ValueError, _WEIGHT + "-0.3$"),
+     _BELIEF + r"\(-inf, 1.0, 1.0\)$"),
+    # a negative component raises before the product, even where the
+    # product would be a valid weight triple
+    (_PRODUCTS, (-0.5, 0.75, 0.75), ValueError,
+     _BELIEF + r"\(-0.5, 0.75, 0.75\)$"),
+    (_PRODUCTS, (1.5, -0.5, 0.0), ValueError,
+     _BELIEF + r"\(1.5, -0.5, 0.0\)$"),
+    (_PRODUCTS, (2.0, -1e-300, 0.0), ValueError,
+     _BELIEF + r"\(2.0, -1e-300, 0.0\)$"),
     (("posterior",), (math.nan, 0.5, 0.5), ValueError, _WEIGHT + "nan$"),
     (("posterior",), (0.5, math.nan, 0.5), ValueError, _WEIGHT + "nan$"),
     (("posterior",), (0.0, 1.0, math.inf), ValueError, _WEIGHT + "nan$"),

@@ -1,7 +1,8 @@
 """The package's public surface, and the hygiene of its sources: every
-name a module imports is used, ``__all__`` lists exactly what a star
-import binds, and every name the benchmark harness wraps, counts or reads
-still exists."""
+name a module imports is used, the modules import each other without a
+cycle and the policy layer stays below the simulator, ``__all__`` lists
+exactly what a star import binds, and every name the benchmark harness
+wraps, counts or reads still exists."""
 
 import ast
 import types
@@ -83,6 +84,43 @@ def test_unused_import_check_flags_a_reexport():
         "    return math.pi * pulsed_belief(b)\n"
     )
     assert unused_imports(source) == [(3, "np"), (4, "pulse_matrix")]
+
+
+def intra_package_imports(path: Path) -> set[str]:
+    """The package modules a source file imports with ``from .x import``
+    or ``from . import x``, anywhere in the file; ``__init__`` stands for
+    the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        if node.module:
+            found.add(node.module.split(".")[0])
+        else:
+            found.update(
+                a.name if (path.parent / f"{a.name}.py").exists() else "__init__"
+                for a in node.names
+            )
+    return found
+
+
+IMPORT_GRAPH = {p.stem: intra_package_imports(p) for p in SRC.glob("*.py")}
+
+
+def test_intra_package_imports_are_acyclic():
+    # repeatedly drop the modules that import no module still left; a
+    # cycle is what remains
+    left = dict(IMPORT_GRAPH)
+    while leaves := [m for m, deps in left.items() if not deps & left.keys()]:
+        for m in leaves:
+            del left[m]
+    assert left == {}
+
+
+def test_control_imports_neither_simulator_nor_harness():
+    # the policy layer turns beliefs into decisions; the controller in
+    # experiments turns decisions into the simulator's pulses
+    assert IMPORT_GRAPH["control"] & {"simulate", "experiments"} == set()
 
 
 def test_star_import_binds_exactly_all():

@@ -131,6 +131,30 @@ class TestStoppingCheck:
         assert marg.r21 .rms == 0.0
         assert marg.r21.mean == paper_rates.r21
 
+    @pytest.mark.parametrize(
+        "threshold, raises",
+        [
+            (math.nan, True),
+            (math.inf, True),
+            (-math.inf, True),
+            (-0.1, True),
+            (0.0, False),
+            (0.1, False),
+        ],
+    )
+    def test_threshold_must_be_finite_and_non_negative(
+        self, paper_rates, threshold, raises
+    ):
+        # NaN and infinity would fire the rule at once, a negative never
+        marg = marginal_rates(init_flat(single_cell_spec(paper_rates), DELTA2))
+        if raises:
+            with pytest.raises(
+                ValueError, match=r"^stop_threshold must be a finite number >= 0, got "
+            ):
+                stopping_check(marg, threshold)
+        else:
+            assert stopping_check(marg, threshold) is True
+
     def test_fresh_flat_grid_false(self):
         # discrete uniform over [0, 150] with 25 points:
         # rms/mean = sqrt((n^2-1)/12)*spacing / 75
