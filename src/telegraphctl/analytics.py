@@ -22,7 +22,7 @@ import numpy as np
 from .control import DEFAULT_TARGET
 from .errors import EmptyEnsembleError, NeverReachedError, NoEpisodesError
 from .filtering import transition_matrix
-from .model import Belief, TransitionRates, exit_rates, normalize
+from .model import Belief, TransitionRates, check_belief, exit_rates, normalize
 
 TARGET_STATE = DEFAULT_TARGET.argmax()
 
@@ -50,10 +50,10 @@ def integrate_rate_equations(
         raise ValueError("duration shorter than one step")
     m = transition_matrix(rates.r21, rates.r10, rates.r_repump, dt, method)
     out = np.empty((n, 3))
-    p = np.asarray(p0.as_tuple())
+    p = np.asarray(check_belief(p0))
     for i in range(n):
         p = m @ p
-        p = p / p.sum()  # column sums are 1, so this is a numerical no-op
+        p = p / p.sum()  # not a no-op: it changes bits on most steps of a sweep
         out[i] = p
     return out
 

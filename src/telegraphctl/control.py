@@ -22,6 +22,9 @@ dominates and a fixed-T depump pulse when p2 dominates; simulations show it
 performs within a couple of percentage points of the optimal policy, which
 is why the fixed-T variant is the default.
 
+decide_action checks the belief once, computes the no-pulse distance and
+frames every decision; each policy only chooses a pulse, or none.
+
 The default fixed transition probabilities below were chosen by a coarse
 sweep over T in {0.1, ..., 0.9} maximizing the mean posterior occupancy of
 the target state in closed-loop simulation with the default photon model
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .filtering import pulsed_belief, pulsed_belief_once
-from .model import Belief, Pulse
+from .model import Belief, Pulse, check_belief
 
 # Result of the tuning sweep with the default configuration (seeded, see
 # experiments.tune_fixed_pulse_probability).
@@ -68,6 +71,7 @@ class ControlPolicy:
         for t in (self.fixed_t_repump, self.fixed_t_depump):
             if not 0.0 <= t <= 1.0:
                 raise ValueError("fixed transition probabilities must be in [0, 1]")
+        check_belief(self.target)
 
 
 class ControlDecision(NamedTuple):
@@ -225,53 +229,48 @@ def optimal_pulse_probability(
     raise ValueError(f"no finite distance for belief {tuple(belief)!r}")
 
 
-def _decide_simple(belief: Belief, policy: ControlPolicy) -> ControlDecision:
-    """Fixed-T threshold rule: repump when p0 strictly dominates, depump when
-    p2 strictly dominates, otherwise no pulse; ties mean no pulse. A pulse
-    that would increase the distance to the target is suppressed. A belief
-    component that is not finite and >= 0 raises ValueError."""
+def _simple_pulse(belief: Belief, policy: ControlPolicy, k_none: float):
+    """Fixed-T threshold rule: (action, T, predicted belief, distance) of a
+    repump when p0 strictly dominates or a depump when p2 does; None on ties
+    and for a pulse that would end farther from the target than k_none."""
     p0, p1, p2 = belief
-    if not (0.0 <= p0 < math.inf and 0.0 <= p1 < math.inf and 0.0 <= p2 < math.inf):
-        raise ValueError(f"belief must be finite and >= 0, got {tuple(belief)!r}")
-    k_before = kolmogorov_distance(policy.target, belief)
     if p0 > p1 and p0 > p2:
         action, t = _REPUMP, policy.fixed_t_repump
     elif p2 > p0 and p2 > p1:
         action, t = _DEPUMP, policy.fixed_t_depump
     else:
-        return ControlDecision(_NONE, 0.0, belief, k_before, k_before)
+        return None
     predicted = pulsed_belief(belief, t, action)
-    k_after = kolmogorov_distance(policy.target, predicted)
-    if k_after > k_before:
-        return ControlDecision(_NONE, 0.0, belief, k_before, k_before)
-    return ControlDecision(action, t, predicted, k_before, k_after)
+    k = kolmogorov_distance(policy.target, predicted)
+    return None if k > k_none else (action, t, predicted, k)
 
 
-def _decide_optimal(belief: Belief, policy: ControlPolicy) -> ControlDecision:
-    """Pick the direction and T that minimize the post-pulse distance to the
-    target; prefer no pulse, then repumping, on exact ties. T is new on
-    every bin, so its pulse matrix is built uncached. A belief component
-    that is not finite and >= 0 raises ValueError."""
-    target = policy.target
-    b0, b1, b2 = belief
-    if not (0.0 <= b0 < math.inf and 0.0 <= b1 < math.inf and 0.0 <= b2 < math.inf):
-        raise ValueError(f"belief must be finite and >= 0, got {tuple(belief)!r}")
-    g0, g1, g2 = target
-    # kolmogorov_distance(target, belief), inline
-    k_none = 0.5 * math.fsum((abs(g0 - b0), abs(g1 - b1), abs(g2 - b2)))
-    t_r, k_r = optimal_pulse_probability(belief, target, _REPUMP)
-    t_d, k_d = optimal_pulse_probability(belief, target, _DEPUMP)
+def _optimal_pulse(belief: Belief, policy: ControlPolicy, k_none: float):
+    """(action, T, predicted belief, distance) minimizing the distance to the
+    target, or None; no pulse wins exact ties, then repumping. T is new on
+    every bin, so its pulse matrix is built uncached."""
+    t_r, k_r = optimal_pulse_probability(belief, policy.target, _REPUMP)
+    t_d, k_d = optimal_pulse_probability(belief, policy.target, _DEPUMP)
     if k_none <= min(k_r, k_d) + _TIE_EPS:
-        return ControlDecision(_NONE, 0.0, belief, k_none, k_none)
+        return None
     if k_r <= k_d + _TIE_EPS:
         action, t, k = _REPUMP, t_r, k_r
     else:
         action, t, k = _DEPUMP, t_d, k_d
-    return ControlDecision(action, t, pulsed_belief_once(belief, t, action), k_none, k)
+    return action, t, pulsed_belief_once(belief, t, action), k
 
 
 def decide_action(belief: Belief, policy: ControlPolicy) -> ControlDecision:
     """The policy's decision for a posterior belief, by its mode."""
+    b0, b1, b2 = check_belief(belief)
+    g0, g1, g2 = policy.target
+    # kolmogorov_distance(policy.target, belief), inline
+    k_none = 0.5 * math.fsum((abs(g0 - b0), abs(g1 - b1), abs(g2 - b2)))
     if policy.mode == "simple":
-        return _decide_simple(belief, policy)
-    return _decide_optimal(belief, policy)
+        pulse = _simple_pulse(belief, policy, k_none)
+    else:
+        pulse = _optimal_pulse(belief, policy, k_none)
+    if pulse is None:
+        return ControlDecision(_NONE, 0.0, belief, k_none, k_none)
+    action, t, predicted, k = pulse
+    return ControlDecision(action, t, predicted, k_none, k)

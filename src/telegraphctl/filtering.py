@@ -21,10 +21,9 @@ T on every bin, so its pulse matrix is built afresh (pulsed_belief_once).
 The per-count log-likelihoods come from the memoized table in
 model.log_likelihoods.
 
-Every per-bin step ends in model.normalize_triple, which raises
-ValueError for a weight that is not finite and >= 0; the matrix products
-reject such a belief component before the product, with the policies'
-message.
+Every per-bin step checks its belief with model.check_belief and ends
+in model.normalize_triple. FilterConfig checks its initial belief and
+builds its matrices when it is made, so a bad config fails before a bin.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .model import (
     Pulse,
     TraceRecord,
     TransitionRates,
+    check_belief,
     exit_rates,
     log_likelihoods,
     normalize_triple,
@@ -97,10 +97,10 @@ def expm(r21, r10, r_repump, dt: float) -> np.ndarray:
     stationary distribution in every column.
     The entries are computed elementwise over cells (no matrix products or
     reductions), so a cell's bits do not depend on the rest of the batch
-    and a slice equals the scalar call's bits. dt must be >= 0.
+    and a slice equals the scalar call's bits. dt must be finite and >= 0.
     """
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
+    if not 0.0 <= dt < math.inf:  # NaN too
+        raise ValueError(f"dt must be finite and >= 0, got {dt!r}")
     r21, r10, rr = np.broadcast_arrays(
         *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
     )
@@ -149,10 +149,10 @@ def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
     below GUARD_LIMIT. Columns are pinned to sum to exactly 1.0 in floating
     point; entries are non-negative whenever the guard holds, which also
     makes each column's diagonal its largest entry (the one the pinning
-    adjusts).
+    adjusts). dt must be finite and >= 0.
     """
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
+    if not 0.0 <= dt < math.inf:  # NaN too
+        raise ValueError(f"dt must be finite and >= 0, got {dt!r}")
     load = guard_load(rates, dt)
     if not load < GUARD_LIMIT:
         raise GuardViolatedError(
@@ -198,23 +198,26 @@ class FilterConfig:
     depump_t: Optional[float] = None
 
     def __post_init__(self):
-        # the step matrix build rejects an unknown propagation method and,
-        # for "linear", a violated guard
+        # the matrix builds reject an unknown propagation method, a bad
+        # bin_time or T and, for "linear", a violated guard
+        check_belief(self.initial_belief)
         r = self.rates
         transition_matrix(r.r21, r.r10, r.r_repump, self.bin_time, self.propagation)
+        for t, direction in ((self.repump_t, _REPUMP), (self.depump_t, _DEPUMP)):
+            if t is not None:  # uncached: a config leaves pulse_matrix's cache alone
+                build_pulse_matrix(t, direction)
 
 
 def _bayes_weights(
     prior: Belief, logl: Sequence[float]
 ) -> tuple[float, float, float, float]:
     """Log-domain Bayes weights exp(log p(n | a) + log prior_a - m), whose
-    largest is 1.0, and their log scale m. A negative prior component
-    raises ValueError."""
+    largest is 1.0, and their log scale m, for a checked prior."""
     l0, l1, l2 = logl
     p0, p1, p2 = prior
-    s0 = _zero_weight(p0) if p0 <= 0.0 or l0 == -math.inf else l0 + math.log(p0)
-    s1 = _zero_weight(p1) if p1 <= 0.0 or l1 == -math.inf else l1 + math.log(p1)
-    s2 = _zero_weight(p2) if p2 <= 0.0 or l2 == -math.inf else l2 + math.log(p2)
+    s0 = -math.inf if p0 == 0.0 or l0 == -math.inf else l0 + math.log(p0)
+    s1 = -math.inf if p1 == 0.0 or l1 == -math.inf else l1 + math.log(p1)
+    s2 = -math.inf if p2 == 0.0 or l2 == -math.inf else l2 + math.log(p2)
     m = max(s0, s1, s2)
     if m == -math.inf:
         raise AllZeroError("observation has zero likelihood under every supported state")
@@ -226,33 +229,21 @@ def _bayes_weights(
     )
 
 
-def _zero_weight(p: float) -> float:
-    """The log weight -inf of a state that the prior or the count rules out;
-    a negative prior component is not a probability, and raises."""
-    if p < 0.0:
-        raise ValueError(f"belief components must be >= 0, got {p!r}")
-    return -math.inf
-
-
 def posterior_update(prior: Belief, n: int, model: PhotonCountModel) -> Belief:
     """Bayes update: posterior proportional to p(n | alpha) * prior, in the
     log domain so extreme counts cannot underflow unless the posterior is
     genuinely all-zero. Equal log-likelihoods reproduce the prior up to
     roundoff; a delta prior is an exact fixed point for any observation."""
-    w0, w1, w2, _ = _bayes_weights(prior, log_likelihoods(model, n))
+    w0, w1, w2, _ = _bayes_weights(check_belief(prior), log_likelihoods(model, n))
     return normalize_triple(w0, w1, w2)
 
 
 def _stochastic_product(m: np.ndarray, belief: Belief) -> Belief:
-    """m @ belief, normalized, for a stochastic, non-negative m. A belief
-    component that is not finite and >= 0 is rejected before the product,
-    where inf * 0 would warn and a negative one could cancel. ndarray.dot
-    is the same dgemv, and gives the same bits, as m @ np.asarray(belief);
-    numpy converts a plain tuple faster than the Belief subclass."""
-    b0, b1, b2 = belief
-    if not (0.0 <= b0 < math.inf and 0.0 <= b1 < math.inf and 0.0 <= b2 < math.inf):
-        raise ValueError(f"belief must be finite and >= 0, got {tuple(belief)!r}")
-    return normalize_triple(*m.dot((b0, b1, b2)).tolist())
+    """m @ belief, normalized, for a stochastic, non-negative m; the belief
+    is checked first, as inf * 0 would warn and a negative entry cancel.
+    ndarray.dot gives the bits of m @ np.asarray(belief), and numpy converts
+    a plain tuple faster than the Belief subclass."""
+    return normalize_triple(*m.dot(check_belief(belief)).tolist())
 
 
 def propagate_prior(
@@ -262,7 +253,7 @@ def propagate_prior(
 
     method="linear" is the per-bin linearized step (guard enforced);
     method="exact" uses the matrix exponential and serves as the oracle.
-    Both builders reject dt < 0; dt = 0 is the identity.
+    Both builders check dt; dt = 0 is the identity.
     """
     m = transition_matrix(
         float(rates.r21), float(rates.r10), float(rates.r_repump), dt, method

@@ -77,6 +77,15 @@ class Belief(NamedTuple):
         return 2 if p2 > p0 else 0
 
 
+def check_belief(belief) -> tuple[float, float, float]:
+    """The components (b0, b1, b2) of a belief, or ValueError unless each is
+    finite and >= 0. This is the one check of a belief."""
+    b0, b1, b2 = belief
+    if not (0.0 <= b0 < math.inf and 0.0 <= b1 < math.inf and 0.0 <= b2 < math.inf):
+        raise ValueError(f"belief must be finite and >= 0, got {tuple(belief)!r}")
+    return b0, b1, b2
+
+
 def normalize_triple(w0: float, w1: float, w2: float) -> Belief:
     """Belief proportional to three Python-float weights, each finite and
     >= 0: the first that is not raises ValueError, and a zero sum raises

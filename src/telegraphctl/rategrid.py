@@ -40,6 +40,7 @@ from .model import (
     Belief,
     PhotonCountModel,
     TraceRecord,
+    check_belief,
     log_likelihoods,
     normalize,
 )
@@ -141,10 +142,10 @@ class RateMarginals(NamedTuple):
 
 def init_flat(spec: GridSpec, initial_states: Belief) -> RateGrid:
     """Flat (no knowledge) prior over the rate cells, with the given state
-    probabilities on every cell."""
+    probabilities, checked, on every cell."""
     n_rate_cells = spec.shape[0] * spec.shape[1] * spec.shape[2]
     joint = np.empty((3,) + spec.shape)
-    for alpha, p in enumerate(initial_states.as_tuple()):
+    for alpha, p in enumerate(check_belief(initial_states)):
         joint[alpha] = p / n_rate_cells
     return RateGrid(spec, joint)
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, poisson
 
+from telegraphctl.analytics import integrate_rate_equations
 from telegraphctl.config import feedback_defaults
 from telegraphctl import filtering
 from telegraphctl.control import ControlPolicy
@@ -34,6 +36,7 @@ from telegraphctl.model import (
     TransitionRates,
     normalize,
 )
+from telegraphctl.rategrid import GridAxis, GridSpec, init_flat, run_estimation
 from telegraphctl.simulate import SimConfig, run_trace
 
 from oracles import full_generator, mp_expm_generator, stationary_from_nullspace
@@ -277,11 +280,10 @@ class TestPropagatePrior:
 
 
 # Invalid beliefs: a component that is not finite and >= 0 is rejected
-# before the product with a cached stochastic matrix, so inf * 0 cannot
-# warn and a negative one cannot cancel. The Bayes update rejects a
-# negative component as it weighs it, and the NaN weights of a non-finite
-# one through the normalizer. A Belief has three entries; a plain sequence
-# of another length does not unpack into one.
+# by model.check_belief, before the product with a cached stochastic
+# matrix (so inf * 0 cannot warn and a negative one cannot cancel) and
+# before the Bayes update weighs it. A Belief has three entries; a plain
+# sequence of another length does not unpack into one.
 INVALID_BELIEFS = [
     (Belief(-0.5, 0.75, 0.75), ValueError),
     (Belief(math.nan, 0.5, 0.5), ValueError),
@@ -312,20 +314,22 @@ def test_invalid_belief_raises_normalize_error(step, belief, error):
 
 
 _RATES = TransitionRates(35.0, 50.0, 59.0)
+_MODEL = PhotonCountModel((40.0, 28.0, 16.0))
 _STEPS = {
     "normalize": normalize,
     "linear": lambda b: propagate_prior(b, _RATES, 1e-3),
     "exact": lambda b: propagate_prior(b, _RATES, 1e-3, "exact"),
     "linear_dt0": lambda b: propagate_prior(b, _RATES, 0.0),
     "exact_dt0": lambda b: propagate_prior(b, _RATES, 0.0, "exact"),
-    "posterior": lambda b: posterior_update(b, 28, PhotonCountModel((40.0, 28.0, 16.0))),
+    "posterior": lambda b: posterior_update(b, 28, _MODEL),
     "repump": lambda b: pulsed_belief(b, 0.4, Pulse.REPUMP),
     "depump": lambda b: pulsed_belief(b, 0.4, Pulse.DEPUMP),
     "repump_once": lambda b: pulsed_belief_once(b, 0.4, Pulse.REPUMP),
     "depump_once": lambda b: pulsed_belief_once(b, 0.4, Pulse.DEPUMP),
 }
-_PRODUCTS = (
-    "linear", "exact", "linear_dt0", "exact_dt0",
+# every step that checks its belief with model.check_belief
+_CHECKED = (
+    "linear", "exact", "linear_dt0", "exact_dt0", "posterior",
     "repump", "depump", "repump_once", "depump_once",
 )
 _BELIEF = "^belief must be finite and >= 0, got "
@@ -338,27 +342,20 @@ ERROR_PARITY = [
     (("normalize",), (-math.inf, 1.0, 1.0), ValueError, _WEIGHT + "-inf$"),
     (("normalize",), (-0.5, 0.75, 0.75), ValueError, _WEIGHT + "-0.5$"),
     (("normalize",), (1.5, -0.5, math.nan), ValueError, _WEIGHT + "-0.5$"),
-    (_PRODUCTS, (math.nan, 0.5, 0.5), ValueError,
+    (_CHECKED, (math.nan, 0.5, 0.5), ValueError,
      _BELIEF + r"\(nan, 0.5, 0.5\)$"),
-    (_PRODUCTS, (0.0, 1.0, math.inf), ValueError,
+    (_CHECKED, (0.0, 1.0, math.inf), ValueError,
      _BELIEF + r"\(0.0, 1.0, inf\)$"),
-    (_PRODUCTS, (-math.inf, 1.0, 1.0), ValueError,
+    (_CHECKED, (-math.inf, 1.0, 1.0), ValueError,
      _BELIEF + r"\(-inf, 1.0, 1.0\)$"),
     # a negative component raises before the product, even where the
     # product would be a valid weight triple
-    (_PRODUCTS, (-0.5, 0.75, 0.75), ValueError,
+    (_CHECKED, (-0.5, 0.75, 0.75), ValueError,
      _BELIEF + r"\(-0.5, 0.75, 0.75\)$"),
-    (_PRODUCTS, (1.5, -0.5, 0.0), ValueError,
+    (_CHECKED, (1.5, -0.5, 0.0), ValueError,
      _BELIEF + r"\(1.5, -0.5, 0.0\)$"),
-    (_PRODUCTS, (2.0, -1e-300, 0.0), ValueError,
+    (_CHECKED, (2.0, -1e-300, 0.0), ValueError,
      _BELIEF + r"\(2.0, -1e-300, 0.0\)$"),
-    (("posterior",), (math.nan, 0.5, 0.5), ValueError, _WEIGHT + "nan$"),
-    (("posterior",), (0.5, math.nan, 0.5), ValueError, _WEIGHT + "nan$"),
-    (("posterior",), (0.0, 1.0, math.inf), ValueError, _WEIGHT + "nan$"),
-    (("posterior",), (-math.inf, 1.0, 1.0), ValueError,
-     "^belief components must be >= 0, got -inf$"),
-    (("posterior",), (1.5, -0.5, 0.0), ValueError,
-     "^belief components must be >= 0, got -0.5$"),
     (tuple(_STEPS), (0.0, 0.0, 0.0), AllZeroError, "zero"),
 ]
 
@@ -374,6 +371,60 @@ ERROR_PARITY = [
 def test_error_parity(step, belief, error, message):
     with pytest.raises(error, match=message):
         _STEPS[step](Belief(*belief))
+
+
+_POINT_GRID = GridSpec(  # a one-cell grid at _RATES
+    GridAxis(35.0, 35.0, 1), GridAxis(50.0, 50.0, 1), GridAxis(59.0, 59.0, 1)
+)
+# Every parameter that takes a belief checks it where it enters.
+_BELIEF_PARAMETERS = {
+    "policy_target": lambda b: ControlPolicy(target=b),
+    "filter_initial_belief": lambda b: FilterConfig(_MODEL, _RATES, 1e-3, initial_belief=b),
+    "run_estimation": lambda b: run_estimation(
+        [TraceRecord(0, 28)], _POINT_GRID, _MODEL, 1e-3, initial_states=b
+    ),
+    "init_flat": lambda b: init_flat(_POINT_GRID, b),
+    "integrate_rate_equations": lambda b: integrate_rate_equations(b, _RATES, 0.01, 1e-3),
+}
+
+
+@pytest.mark.parametrize(
+    "belief",
+    [(math.nan, 0.5, 0.5), (0.0, 1.0, math.inf), (1.5, -0.5, 0.0)],
+    ids=["nan", "inf", "negative"],
+)
+@pytest.mark.parametrize("parameter", list(_BELIEF_PARAMETERS))
+def test_belief_parameter_checked(parameter, belief):
+    with pytest.raises(ValueError, match=_BELIEF + re.escape(repr(belief)) + "$"):
+        _BELIEF_PARAMETERS[parameter](Belief(*belief))
+
+
+# Both matrix builders, and every caller that builds one for a given dt,
+# reject a dt that is not finite and >= 0 with the simulator's wording.
+_DT_CALLS = {
+    "expm": lambda dt: expm(35.0, 50.0, 59.0, dt),
+    "step_matrix": lambda dt: step_matrix(_RATES, dt),
+    "filter_linear": lambda dt: FilterConfig(_MODEL, _RATES, dt),
+    "filter_exact": lambda dt: FilterConfig(_MODEL, _RATES, dt, propagation="exact"),
+    "run_estimation": lambda dt: run_estimation(
+        [TraceRecord(0, 28)], _POINT_GRID, _MODEL, dt
+    ),
+}
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", list(_DT_CALLS))
+def test_dt_must_be_finite_and_non_negative(call, dt):
+    with pytest.raises(ValueError, match=f"^dt must be finite and >= 0, got {dt!r}$"):
+        _DT_CALLS[call](dt)
+
+
+@pytest.mark.parametrize("t", [1.5, -0.1, math.nan], ids=["1.5", "-0.1", "nan"])
+@pytest.mark.parametrize("field", ["repump_t", "depump_t"])
+def test_filter_config_checks_pulse_probability(field, t):
+    # a bad T fails when the config is made, not at the first recorded pulse
+    with pytest.raises(ValueError, match="transition probability must be in"):
+        FilterConfig(_MODEL, _RATES, 1e-3, **{field: t})
 
 
 class TestPosteriorUpdate:
@@ -416,7 +467,7 @@ class TestPosteriorUpdate:
         [Belief(math.nan, 0.5, 0.5), Belief(0.5, math.nan, 0.5), Belief(0.0, 1.0, math.inf)],
     )
     def test_non_finite_prior_rejected(self, default_model, prior):
-        # its Bayes weights hold a NaN, which normalize rejects
+        # check_belief rejects it before the Bayes weights
         with pytest.raises(ValueError):
             posterior_update(prior, 28, default_model)
 

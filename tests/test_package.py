@@ -219,3 +219,20 @@ def test_benchmark_estimation_call_runs():
         method="exact",
     )
     assert result.n_bins == 1
+
+
+def test_belief_rule_written_once():
+    # model.check_belief is the one check of a belief: its message appears
+    # once in the sources, in that function
+    message = "belief must be finite and >= 0"
+    counts = {
+        p.name: p.read_text(encoding="utf-8").count(message) for p in SRC.glob("*.py")
+    }
+    assert {name: n for name, n in counts.items() if n} == {"model.py": 1}
+    source = (SRC / "model.py").read_text(encoding="utf-8")
+    (check,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "check_belief"
+    ]
+    assert message in ast.get_source_segment(source, check)
