@@ -39,7 +39,6 @@ from .filtering import (
     FilterConfig,
     posterior_update,
     propagate_prior,
-    pulse_matrix,
     run_filter,
     step_matrix,
     trace_log_likelihood,
@@ -85,8 +84,8 @@ __all__ = [
     "AllZeroError", "CapExceededError", "ConfigError", "EmptyEnsembleError",
     "GuardViolatedError", "NeverReachedError", "NoEpisodesError",
     "NotConvergedWarning", "TelegraphError", "TraceFormatError", "ZeroMeanError",
-    "FilterConfig", "posterior_update", "propagate_prior",
-    "pulse_matrix", "run_filter", "step_matrix", "trace_log_likelihood",
+    "FilterConfig", "posterior_update", "propagate_prior", "run_filter",
+    "step_matrix", "trace_log_likelihood",
     "Belief", "PhotonCountModel", "Pulse", "TraceRecord", "TransitionRates",
     "normalize",
     "GridAxis", "GridSpec", "RateGrid", "RateMarginals", "RatePosterior",

@@ -43,8 +43,8 @@ def integrate_rate_equations(
     """
     if not 0.0 < duration < math.inf:  # NaN too
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
+    if not 0.0 < dt < math.inf:  # NaN too
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     n = int(round(duration / dt))
     if n < 1:
         raise ValueError("duration shorter than one step")

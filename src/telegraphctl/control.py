@@ -24,6 +24,9 @@ is why the fixed-T variant is the default.
 
 decide_action checks the belief once, computes the no-pulse distance and
 frames every decision; each policy only chooses a pulse, or none.
+ControlPolicy builds the two fixed-T pulse matrices once, when it checks
+their T, and keeps them read-only for the simple policy; the optimal
+policy picks a new T on every bin and builds that bin's matrix.
 
 The default fixed transition probabilities below were chosen by a coarse
 sweep over T in {0.1, ..., 0.9} maximizing the mean posterior occupancy of
@@ -35,10 +38,12 @@ run manifest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .filtering import pulsed_belief, pulsed_belief_once
+import numpy as np
+
+from .filtering import build_pulse_matrix, pulsed_belief
 from .model import Belief, Pulse, check_belief
 
 # Result of the tuning sweep with the default configuration (seeded, see
@@ -49,6 +54,7 @@ DEFAULT_T_DEPUMP = 0.4
 DEFAULT_TARGET = Belief(0.0, 1.0, 0.0)
 
 _TIE_EPS = 1e-12
+_TARGET_SUM_EPS = 1e-12  # the slack on the target's unit sum
 # optimal_pulse_probability's exit: the slack on a unit sum, and on which
 # deviation counts as largest
 _UNIT_SUM_EPS = 1e-15
@@ -64,14 +70,23 @@ class ControlPolicy:
     fixed_t_repump: float = DEFAULT_T_REPUMP
     fixed_t_depump: float = DEFAULT_T_DEPUMP
     target: Belief = DEFAULT_TARGET
+    # The pulse matrices of the two fixed T, built when the policy is made
+    # (which checks each T) and read-only.
+    repump_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    depump_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("simple", "optimal"):
             raise ValueError("mode must be 'simple' or 'optimal'")
-        for t in (self.fixed_t_repump, self.fixed_t_depump):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError("fixed transition probabilities must be in [0, 1]")
-        check_belief(self.target)
+        for name, t, direction in (
+            ("repump_matrix", self.fixed_t_repump, _REPUMP),
+            ("depump_matrix", self.fixed_t_depump, _DEPUMP),
+        ):
+            m = build_pulse_matrix(t, direction)
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+        if not abs(math.fsum(check_belief(self.target)) - 1.0) <= _TARGET_SUM_EPS:
+            raise ValueError(f"target must sum to 1, got {tuple(self.target)!r}")
 
 
 class ControlDecision(NamedTuple):
@@ -235,12 +250,12 @@ def _simple_pulse(belief: Belief, policy: ControlPolicy, k_none: float):
     and for a pulse that would end farther from the target than k_none."""
     p0, p1, p2 = belief
     if p0 > p1 and p0 > p2:
-        action, t = _REPUMP, policy.fixed_t_repump
+        action, t, m = _REPUMP, policy.fixed_t_repump, policy.repump_matrix
     elif p2 > p0 and p2 > p1:
-        action, t = _DEPUMP, policy.fixed_t_depump
+        action, t, m = _DEPUMP, policy.fixed_t_depump, policy.depump_matrix
     else:
         return None
-    predicted = pulsed_belief(belief, t, action)
+    predicted = pulsed_belief(belief, m)
     k = kolmogorov_distance(policy.target, predicted)
     return None if k > k_none else (action, t, predicted, k)
 
@@ -248,7 +263,7 @@ def _simple_pulse(belief: Belief, policy: ControlPolicy, k_none: float):
 def _optimal_pulse(belief: Belief, policy: ControlPolicy, k_none: float):
     """(action, T, predicted belief, distance) minimizing the distance to the
     target, or None; no pulse wins exact ties, then repumping. T is new on
-    every bin, so its pulse matrix is built uncached."""
+    every bin, and so is its pulse matrix."""
     t_r, k_r = optimal_pulse_probability(belief, policy.target, _REPUMP)
     t_d, k_d = optimal_pulse_probability(belief, policy.target, _DEPUMP)
     if k_none <= min(k_r, k_d) + _TIE_EPS:
@@ -257,7 +272,7 @@ def _optimal_pulse(belief: Belief, policy: ControlPolicy, k_none: float):
         action, t, k = _REPUMP, t_r, k_r
     else:
         action, t, k = _DEPUMP, t_d, k_d
-    return action, t, pulsed_belief_once(belief, t, action), k
+    return action, t, pulsed_belief(belief, build_pulse_matrix(t, action)), k
 
 
 def decide_action(belief: Belief, policy: ControlPolicy) -> ControlDecision:

@@ -49,9 +49,7 @@ class FeedbackController:
 
     def __call__(self, bin_index: int, photon_count: int) -> Optional[PulseSpec]:
         config = self.config
-        prior = propagate_prior(
-            self.belief, config.rates, config.bin_time, config.propagation
-        )
+        prior = propagate_prior(self.belief, config)
         post = posterior_update(prior, photon_count, config.photon_model)
         decision = decide_action(post, self.policy)
         self.posteriors.append(post)

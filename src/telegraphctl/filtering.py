@@ -1,6 +1,6 @@
 """Per-bin belief updates: Bayes posterior from counts, rate-equation
 prior propagation, and pulse matrices with the pulse-conditioned belief
-transforms built on them.
+product built on them.
 
 Propagation applies one bin's transition matrix for the rate-equation
 generator G, whose channel rates come from model.exit_rates. There are
@@ -15,11 +15,10 @@ deliberately absent from G (the builders leave exit_rates' r_depump at 0:
 in the belief model depumping acts through pulses only) while the
 simulator supports it, which keeps the mismatch testable.
 Rates, dt and the pulse transition probabilities are fixed for a run, so
-each (rates, dt, method) transition matrix and each (T, direction) pulse
-matrix is built once and shared read-only; the optimal policy picks a new
-T on every bin, so its pulse matrix is built afresh (pulsed_belief_once).
-The per-count log-likelihoods come from the memoized table in
-model.log_likelihoods.
+FilterConfig builds its transition matrix and its pulse matrices once,
+when it checks them, and keeps them read-only; every bin's step reads
+them from the config. The per-count log-likelihoods come from the
+memoized table in model.log_likelihoods.
 
 Every per-bin step checks its belief with model.check_belief and ends
 in model.normalize_triple. FilterConfig checks its initial belief and
@@ -28,9 +27,8 @@ builds its matrices when it is made, so a bad config fails before a bin.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -166,23 +164,24 @@ def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
     ).T
 
 
-@functools.lru_cache(maxsize=32)
 def transition_matrix(
     r21: float, r10: float, rr: float, dt: float, method: str
 ) -> np.ndarray:
     """One bin's belief transition matrix, step_matrix for "linear" and
-    expm for "exact", built once per (rates, dt, method) and
-    shared read-only. This is the one check of ``method``: any other value
-    raises ValueError. A guard violation raises on every call, since
-    exceptions are not cached."""
+    expm for "exact". This is the one check of ``method``: any other value
+    raises ValueError."""
     if method == "linear":
-        m = step_matrix(TransitionRates(r21, r10, rr), dt)
-    elif method == "exact":
-        m = expm(r21, r10, rr, dt)
-    else:
-        raise ValueError(f"unknown propagation method {method!r}")
-    m.flags.writeable = False
-    return m
+        return step_matrix(TransitionRates(r21, r10, rr), dt)
+    if method == "exact":
+        return expm(r21, r10, rr, dt)
+    raise ValueError(f"unknown propagation method {method!r}")
+
+
+def _hold(owner, name: str, m: Optional[np.ndarray]) -> None:
+    """Keep m read-only as owner.name, on a frozen dataclass."""
+    if m is not None:
+        m.flags.writeable = False
+    object.__setattr__(owner, name, m)
 
 
 @dataclass(frozen=True)
@@ -196,16 +195,26 @@ class FilterConfig:
     # belief; only needed when traces carry pulse events.
     repump_t: Optional[float] = None
     depump_t: Optional[float] = None
+    # Built from the fields above when the config is made, and read-only:
+    # one bin's transition matrix, and the pulse matrix of each T that is set.
+    transition_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    repump_matrix: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    depump_matrix: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the matrix builds reject an unknown propagation method, a bad
         # bin_time or T and, for "linear", a violated guard
         check_belief(self.initial_belief)
         r = self.rates
-        transition_matrix(r.r21, r.r10, r.r_repump, self.bin_time, self.propagation)
-        for t, direction in ((self.repump_t, _REPUMP), (self.depump_t, _DEPUMP)):
-            if t is not None:  # uncached: a config leaves pulse_matrix's cache alone
-                build_pulse_matrix(t, direction)
+        step = transition_matrix(
+            float(r.r21), float(r.r10), float(r.r_repump), self.bin_time, self.propagation
+        )
+        _hold(self, "transition_matrix", step)
+        for name, t, direction in (
+            ("repump_matrix", self.repump_t, _REPUMP),
+            ("depump_matrix", self.depump_t, _DEPUMP),
+        ):
+            _hold(self, name, None if t is None else build_pulse_matrix(t, direction))
 
 
 def _bayes_weights(
@@ -246,19 +255,12 @@ def _stochastic_product(m: np.ndarray, belief: Belief) -> Belief:
     return normalize_triple(*m.dot(check_belief(belief)).tolist())
 
 
-def propagate_prior(
-    posterior: Belief, rates: TransitionRates, dt: float, method: str = "linear"
-) -> Belief:
-    """Advance a belief by dt with the rate-equation model.
-
-    method="linear" is the per-bin linearized step (guard enforced);
-    method="exact" uses the matrix exponential and serves as the oracle.
-    Both builders check dt; dt = 0 is the identity.
-    """
-    m = transition_matrix(
-        float(rates.r21), float(rates.r10), float(rates.r_repump), dt, method
-    )
-    return _stochastic_product(m, posterior)
+def propagate_prior(posterior: Belief, config: FilterConfig) -> Belief:
+    """Advance a belief by one bin of the config with the rate-equation
+    model, through the transition matrix the config holds: the linearized
+    step (guard checked when the config was made) or, for
+    propagation="exact", the matrix exponential."""
+    return _stochastic_product(config.transition_matrix, posterior)
 
 
 def build_pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
@@ -269,8 +271,7 @@ def build_pulse_matrix(transition_probability: float, direction: Pulse) -> np.nd
     top state is absorbing; depumping is the index-reversed mirror. Column
     sums are exactly 1.0 in floating point and entries are non-negative.
     The matrix is the transpose of a C-ordered array (Fortran order), the
-    layout every pulse product has used. Not cached: pulse_matrix is the
-    cached form, for a T fixed for a run.
+    layout every pulse product has used.
     """
     t = transition_probability
     if not 0.0 <= t <= 1.0:
@@ -287,28 +288,11 @@ def build_pulse_matrix(transition_probability: float, direction: Pulse) -> np.nd
     raise ValueError("direction must be REPUMP or DEPUMP")
 
 
-@functools.lru_cache(maxsize=32)
-def pulse_matrix(transition_probability: float, direction: Pulse) -> np.ndarray:
-    """build_pulse_matrix, built once per (T, direction) and shared
-    read-only; invalid arguments raise on every call, since exceptions are
-    not cached."""
-    m = build_pulse_matrix(transition_probability, direction)
-    m.flags.writeable = False
-    return m
-
-
-def pulsed_belief(belief: Belief, t: float, direction: Pulse) -> Belief:
-    """Belief after one pulse of a T fixed for a run, through the cached
-    pulse_matrix(t, direction). That matrix is exactly stochastic and
-    non-negative by construction, so it is not re-checked and the product
-    needs no clamping."""
-    return _stochastic_product(pulse_matrix(t, direction), belief)
-
-
-def pulsed_belief_once(belief: Belief, t: float, direction: Pulse) -> Belief:
-    """pulsed_belief for a T chosen afresh on each bin, as the optimal
-    policy's is: the same matrix and bits, built without the cache."""
-    return _stochastic_product(build_pulse_matrix(t, direction), belief)
+def pulsed_belief(belief: Belief, matrix: np.ndarray) -> Belief:
+    """Belief after one pulse, given its pulse matrix (build_pulse_matrix).
+    That matrix is exactly stochastic and non-negative by construction, so
+    it is not re-checked and the product needs no clamping."""
+    return _stochastic_product(matrix, belief)
 
 
 def _forward(records: Sequence[TraceRecord], config: FilterConfig):
@@ -320,12 +304,11 @@ def _forward(records: Sequence[TraceRecord], config: FilterConfig):
     one (before the pulse), which is what occupancy statistics and the
     controller act on. An AllZeroError names the bin it arose in.
     """
-    rates, dt, method = config.rates, config.bin_time, config.propagation
     model = config.photon_model
     belief = config.initial_belief
     try:
         for rec in records:
-            prior = propagate_prior(belief, rates, dt, method)
+            prior = propagate_prior(belief, config)
             post = posterior_update(prior, rec.photon_count, model)
             yield rec, prior, post
             belief = _fold_pulse(post, rec.pulse, config)
@@ -341,13 +324,13 @@ def run_filter(records: Sequence[TraceRecord], config: FilterConfig) -> list[Bel
 def _fold_pulse(post: Belief, pulse: Pulse, config: FilterConfig) -> Belief:
     if pulse == _NONE:
         return post
-    t = config.repump_t if pulse == _REPUMP else config.depump_t
-    if t is None:
+    m = config.repump_matrix if pulse == _REPUMP else config.depump_matrix
+    if m is None:
         raise ValueError(
             "trace carries pulse events but FilterConfig does not define the "
             "matching transition probability"
         )
-    return pulsed_belief(post, t, pulse)
+    return pulsed_belief(post, m)
 
 
 def trace_log_likelihood(records: Sequence[TraceRecord], config: FilterConfig) -> float:

@@ -13,7 +13,7 @@ from telegraphctl.errors import (
     NoEpisodesError,
     TraceFormatError,
 )
-from telegraphctl.filtering import pulsed_belief
+from telegraphctl.filtering import build_pulse_matrix, pulsed_belief
 from telegraphctl.model import Belief, Pulse, TraceRecord, TransitionRates, pin_unit_sum
 from telegraphctl.rategrid import (
     RATE_NAMES,
@@ -217,7 +217,7 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
 
 def reference_decide_action_optimal(belief: Belief, target: Belief) -> ControlDecision:
     """The optimal policy written from the reference minimizer, the checked
-    distance and the cached pulse transform: no pulse on a tie with the
+    distance and the pulse product: no pulse on a tie with the
     best pulse, then repumping on a tie between the directions."""
     k_none = kolmogorov_distance(target, belief)
     t_r, k_r = reference_optimal_pulse_probability(belief, target, Pulse.REPUMP)
@@ -228,7 +228,8 @@ def reference_decide_action_optimal(belief: Belief, target: Belief) -> ControlDe
         action, t, k = Pulse.REPUMP, t_r, k_r
     else:
         action, t, k = Pulse.DEPUMP, t_d, k_d
-    return ControlDecision(action, t, pulsed_belief(belief, t, action), k_none, k)
+    predicted = pulsed_belief(belief, build_pulse_matrix(t, action))
+    return ControlDecision(action, t, predicted, k_none, k)
 
 
 def reference_parse_trace(text: str) -> list[TraceRecord]:

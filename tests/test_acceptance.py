@@ -38,11 +38,12 @@ from telegraphctl.control import (
 from telegraphctl.experiments import observe_chain, run_closed_loop_ensemble
 from telegraphctl.filtering import (
     FilterConfig,
+    build_pulse_matrix,
     expm,
     guard_load,
     posterior_update,
     propagate_prior,
-    pulse_matrix,
+    pulsed_belief,
     run_filter,
     step_matrix,
 )
@@ -435,13 +436,14 @@ def test_criterion_8_oracle_suite():
     rng = np.random.default_rng(0)
     belief = Belief(0.0, 0.0, 1.0)
     prng = PortableRandom(1)
+    config = FilterConfig(DEFAULT_MODEL, PAPER_RATES, 1e-3)
     for _ in range(2000):
-        belief = propagate_prior(belief, PAPER_RATES, 1e-3)
+        belief = propagate_prior(belief, config)
         belief = posterior_update(belief, prng.poisson(25.0), DEFAULT_MODEL)
         if rng.random() < 0.05:
             t = float(rng.random())
             direction = Pulse.REPUMP if rng.random() < 0.5 else Pulse.DEPUMP
-            belief = normalize(pulse_matrix(t, direction) @ np.asarray(belief.as_tuple()))
+            belief = pulsed_belief(belief, build_pulse_matrix(t, direction))
         if abs(math.fsum(belief.as_tuple()) - 1.0) > 1e-12:
             failures.append("belief normalization drift")
             break
@@ -459,7 +461,7 @@ def test_criterion_8_oracle_suite():
     for i in range(1001):
         t = i / 1000.0
         for d in (Pulse.REPUMP, Pulse.DEPUMP):
-            m = pulse_matrix(t, d)
+            m = build_pulse_matrix(t, d)
             if any(math.fsum(m[:, c]) != 1.0 for c in range(3)) or np.any(m < 0):
                 failures.append(f"pulse matrix not exactly stochastic at T={t}")
 

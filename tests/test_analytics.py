@@ -79,6 +79,12 @@ class TestIntegrateRateEquations:
         with pytest.raises(ValueError, match="bogus"):
             integrate_rate_equations(DELTA2, paper_rates, 0.3, 1e-3, method="bogus")
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_dt_must_be_finite_and_positive(self, paper_rates, dt):
+        # the simulator's rule and wording
+        with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt!r}$"):
+            integrate_rate_equations(DELTA2, paper_rates, 0.3, dt)
+
     def test_weak_repumping_300ms_mean(self, paper_rates):
         # frozen value, cross-checked against the eigen-decomposition of the
         # generator: stationary p1 = 0.321601, finite-trace mean = 0.309887

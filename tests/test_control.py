@@ -11,7 +11,7 @@ from oracles import (
     reference_pulse_matrix,
 )
 from telegraphctl import control
-from telegraphctl.config import feedback_defaults
+from telegraphctl.config import feedback_defaults, parse_config
 from telegraphctl.control import (
     DEFAULT_TARGET,
     ControlPolicy,
@@ -21,7 +21,7 @@ from telegraphctl.control import (
     optimal_pulse_probability,
 )
 from telegraphctl.experiments import run_closed_loop
-from telegraphctl.filtering import build_pulse_matrix, pulse_matrix
+from telegraphctl.filtering import build_pulse_matrix
 from telegraphctl.model import Belief, Pulse, normalize
 
 TARGET = Belief(0.0, 1.0, 0.0)
@@ -106,34 +106,18 @@ class TestKolmogorovDistance:
 class TestPulseMatrix:
     def test_zero_is_identity(self):
         for d in (Pulse.REPUMP, Pulse.DEPUMP):
-            assert np.array_equal(pulse_matrix(0.0, d), np.eye(3))
+            assert np.array_equal(build_pulse_matrix(0.0, d), np.eye(3))
 
     def test_saturating_repump(self):
-        m = pulse_matrix(1.0, Pulse.REPUMP)
+        m = build_pulse_matrix(1.0, Pulse.REPUMP)
         assert np.array_equal(m, np.array([[0, 0, 0], [0, 0, 0], [1, 1, 1.0]]))
 
     def test_half_repump_columns(self):
-        m = pulse_matrix(0.5, Pulse.REPUMP)
+        m = build_pulse_matrix(0.5, Pulse.REPUMP)
         expected = np.array(
             [[0.25, 0.0, 0.0], [0.5, 0.5, 0.0], [0.25, 0.5, 1.0]]
         )
         assert np.array_equal(m, expected)
-
-    def test_builder_matches_cached_matrix(self):
-        # the same values, dtype and (Fortran-order) strides, so a product
-        # with either gives the same dgemv bits
-        rng = np.random.default_rng(17)
-        for t in [0.0, 0.4, 0.5, 1.0, *rng.random(50)]:
-            for d in (Pulse.REPUMP, Pulse.DEPUMP):
-                built, cached = build_pulse_matrix(t, d), pulse_matrix(t, d)
-                assert np.array_equal(built, cached)
-                assert built.dtype == cached.dtype == np.float64
-                assert built.strides == cached.strides
-                assert built.flags.f_contiguous and not built.flags.c_contiguous
-                assert built.flags.writeable and not cached.flags.writeable
-        for args in ((1.5, Pulse.REPUMP), (-0.1, Pulse.DEPUMP), (0.4, Pulse.NONE)):
-            with pytest.raises(ValueError):
-                build_pulse_matrix(*args)
 
     def test_builder_matches_nested_reference(self):
         # the flat build against the nested one: the same values, sign bits
@@ -146,28 +130,24 @@ class TestPulseMatrix:
                 assert hex_bits(got.ravel()) == hex_bits(want.ravel()), (t, d)
                 assert got.dtype == want.dtype and got.strides == want.strides
 
-    def test_cached_matrix_is_read_only(self):
-        m = pulse_matrix(0.4, Pulse.REPUMP)
-        assert m is pulse_matrix(0.4, Pulse.REPUMP)
-        with pytest.raises(ValueError):
-            m[0, 0] = 0.0
-        for _ in range(2):  # exceptions are not cached
-            with pytest.raises(ValueError):
-                pulse_matrix(1.5, Pulse.REPUMP)
-            with pytest.raises(ValueError):
-                pulse_matrix(0.4, Pulse.NONE)
+    def test_invalid_arguments_rejected(self):
+        for args in ((1.5, Pulse.REPUMP), (-0.1, Pulse.DEPUMP), (math.nan, Pulse.REPUMP)):
+            with pytest.raises(ValueError, match=r"^transition probability must be in \[0, 1\]$"):
+                build_pulse_matrix(*args)
+        with pytest.raises(ValueError, match="^direction must be REPUMP or DEPUMP$"):
+            build_pulse_matrix(0.4, Pulse.NONE)
 
     def test_depump_is_index_reversed_mirror(self):
         for t in (0.0, 0.2, 0.5, 0.77, 1.0):
-            mr = pulse_matrix(t, Pulse.REPUMP)
-            md = pulse_matrix(t, Pulse.DEPUMP)
+            mr = build_pulse_matrix(t, Pulse.REPUMP)
+            md = build_pulse_matrix(t, Pulse.DEPUMP)
             assert np.array_equal(md, mr[::-1, ::-1])
 
     def test_column_sums_exact_on_dense_sweep(self):
         for i in range(1001):
             t = i / 1000.0
             for d in (Pulse.REPUMP, Pulse.DEPUMP):
-                m = pulse_matrix(t, d)
+                m = build_pulse_matrix(t, d)
                 assert np.all(m >= 0.0)
                 for col in range(3):
                     assert math.fsum(m[:, col]) == 1.0
@@ -178,10 +158,10 @@ class TestPulseMatrix:
         for b in random_beliefs(200, seed=9):
             t = rng.random()
             arr = np.asarray(b.as_tuple())
-            up = pulse_matrix(t, Pulse.REPUMP) @ arr
+            up = build_pulse_matrix(t, Pulse.REPUMP) @ arr
             assert up[0] <= arr[0] + 1e-15
             assert up[0] + up[1] <= arr[0] + arr[1] + 1e-15
-            down = pulse_matrix(t, Pulse.DEPUMP) @ arr
+            down = build_pulse_matrix(t, Pulse.DEPUMP) @ arr
             assert down[2] <= arr[2] + 1e-15
             assert down[1] + down[2] <= arr[1] + arr[2] + 1e-15
 
@@ -198,7 +178,7 @@ class TestOptimalPulseProbability:
         assert abs(k - 0.5) <= 1e-6
         # the objective is exactly 1 - 2T + 2T^2 for this belief
         for tt in np.linspace(0, 1, 11):
-            moved = pulse_matrix(tt, Pulse.REPUMP) @ np.array([1.0, 0.0, 0.0])
+            moved = build_pulse_matrix(tt, Pulse.REPUMP) @ np.array([1.0, 0.0, 0.0])
             k_direct = 0.5 * np.abs(moved - np.array([0, 1.0, 0])).sum()
             assert k_direct == pytest.approx(1 - 2 * tt + 2 * tt * tt, abs=1e-12)
 
@@ -225,7 +205,7 @@ class TestOptimalPulseProbability:
                 arr = np.asarray(b.as_tuple())
                 tgt = np.asarray(target.as_tuple())
                 for tt in np.linspace(0, 1, 501):
-                    k_tt = 0.5 * np.abs(pulse_matrix(tt, d) @ arr - tgt).sum()
+                    k_tt = 0.5 * np.abs(build_pulse_matrix(tt, d) @ arr - tgt).sum()
                     assert k_star <= k_tt + 1e-9
 
 
@@ -442,6 +422,45 @@ def test_unknown_mode_rejected():
         ControlPolicy(mode="greedy")
 
 
+@pytest.mark.parametrize("t", [1.5, -0.1, math.nan], ids=["1.5", "-0.1", "nan"])
+@pytest.mark.parametrize("field", ["fixed_t_repump", "fixed_t_depump"])
+def test_policy_checks_fixed_t(field, t):
+    # building the policy's pulse matrix is the check of its T
+    with pytest.raises(ValueError, match=r"^transition probability must be in \[0, 1\]$"):
+        ControlPolicy(**{field: t})
+
+
+def test_policy_holds_built_pulse_matrices():
+    # the same values and (Fortran-order) strides as a fresh build, so the
+    # simple policy's products keep their dgemv bits
+    policy = ControlPolicy(fixed_t_repump=0.3, fixed_t_depump=0.7)
+    for held, t, d in (
+        (policy.repump_matrix, 0.3, Pulse.REPUMP),
+        (policy.depump_matrix, 0.7, Pulse.DEPUMP),
+    ):
+        built = build_pulse_matrix(t, d)
+        assert np.array_equal(held, built)
+        assert held.strides == built.strides
+        assert built.flags.writeable and not held.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "target", [Belief(0.0, 2.0, 0.0), Belief(0.3, 0.3, 0.3)], ids=["(0,2,0)", "(.3,.3,.3)"]
+)
+def test_target_must_sum_to_one(target):
+    # else a pulse could fire with distances outside [0, 1]
+    with pytest.raises(ValueError, match=r"^target must sum to 1, got \("):
+        ControlPolicy(target=target)
+
+
+def test_unit_sum_targets_accepted():
+    ControlPolicy(target=DEFAULT_TARGET)
+    ControlPolicy(target=Belief(1 / 3, 1 / 3, 1 / 3))
+    for text in ("0.125,0.75,0.125", "1,2,1", "0.1,0.7,0.2", "1,0,0", "1,1,3"):
+        parsed = parse_config(f"policy.target = {text}\n")
+        assert parsed.control_policy().target == parsed.target
+
+
 def test_nan_distance_raises_value_error():
     # only NaN distances reach the end of the candidate scan
     for d in (Pulse.REPUMP, Pulse.DEPUMP):
@@ -459,15 +478,3 @@ def test_decisions_are_stateless():
     opt_policy = ControlPolicy(mode="optimal")
     first_opt = decide_action(b, opt_policy)
     assert decide_action(b, opt_policy) == first_opt
-
-
-def test_optimal_closed_loop_leaves_pulse_cache_alone():
-    # the optimal policy's T is new on every bin, so its pulse matrices are
-    # built uncached: a run neither reads nor fills pulse_matrix's cache
-    cfg = replace(feedback_defaults(), policy_mode="optimal")
-    before = pulse_matrix.cache_info()
-    run = run_closed_loop(
-        replace(cfg.sim_config(), n_bins=200), cfg.filter_config(), cfg.control_policy()
-    )
-    assert any(d.action != Pulse.NONE for d in run.decisions)
-    assert pulse_matrix.cache_info() == before

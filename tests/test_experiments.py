@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from telegraphctl import experiments, filtering, simulate
+from telegraphctl import control, experiments, filtering, simulate
 from telegraphctl.config import ExperimentConfig, feedback_defaults
 from telegraphctl.control import ControlPolicy
 from telegraphctl.filtering import FilterConfig, run_filter, trace_log_likelihood
@@ -244,6 +244,61 @@ def test_belief_step_boundaries_called_once_per_bin(monkeypatch):
         "filtering.propagate_prior": n,
         "filtering.posterior_update": n,
     }
+
+
+# Rates, bin time and the fixed-T pulses are fixed for a run, so the filter
+# config and the policy build their matrices when they are made, and the
+# per-bin steps read them there.
+MATRIX_BUILDERS = [
+    (filtering, "transition_matrix"),
+    (filtering, "build_pulse_matrix"),
+    (control, "build_pulse_matrix"),
+]
+
+
+@pytest.mark.parametrize("mode", ["simple", "optimal"])
+def test_runs_read_the_held_matrices(monkeypatch, mode):
+    cfg = replace(feedback_defaults(), policy_mode=mode)
+    filter_config, policy = cfg.filter_config(), cfg.control_policy()
+    calls = {}
+    for owner, name in MATRIX_BUILDERS:
+        key = f"{owner.__name__.rsplit('.', 1)[1]}.{name}"
+        calls[key] = 0
+
+        def counted(*args, _key=key, _original=getattr(owner, name), **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    run = run_closed_loop(cfg.sim_config(0), filter_config, policy)
+    assert len(run.records) == 300
+    fired = sum(1 for rec in run.records if rec.pulse)
+    assert fired > 0
+    assert len(filtering.run_filter(run.records, filter_config)) == 300
+    # the optimal policy builds the matrix of the T it picks on each fired bin
+    assert calls == {
+        "filtering.transition_matrix": 0,
+        "filtering.build_pulse_matrix": 0,
+        "control.build_pulse_matrix": fired if mode == "optimal" else 0,
+    }
+
+
+def test_held_matrices_are_read_only():
+    cfg = feedback_defaults()
+    filter_config, policy = cfg.filter_config(), cfg.control_policy()
+    held = [
+        filter_config.transition_matrix,
+        filter_config.repump_matrix,
+        filter_config.depump_matrix,
+        policy.repump_matrix,
+        policy.depump_matrix,
+    ]
+    for m in held:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.5
+    assert np.array_equal(policy.repump_matrix, filter_config.repump_matrix)
+    assert np.array_equal(policy.depump_matrix, filter_config.depump_matrix)
 
 
 # perfbench also wraps these simulator attributes for its per-layer spans

@@ -17,16 +17,15 @@ from telegraphctl.errors import AllZeroError, GuardViolatedError
 from telegraphctl.experiments import run_closed_loop
 from telegraphctl.filtering import (
     FilterConfig,
+    build_pulse_matrix,
     expm,
     guard_load,
     posterior_update,
     propagate_prior,
     pulsed_belief,
-    pulsed_belief_once,
     run_filter,
     step_matrix,
     trace_log_likelihood,
-    transition_matrix,
 )
 from telegraphctl.model import (
     Belief,
@@ -47,6 +46,13 @@ RATE_SETS = [
     TransitionRates(150.0, 120.0, 80.0),
     TransitionRates(2.0, 200.0, 5.0),
 ]
+_RATES = TransitionRates(35.0, 50.0, 59.0)
+_MODEL = PhotonCountModel((40.0, 28.0, 16.0))
+
+
+def make_config(rates, dt, method="linear", **pulse_t):
+    """A filter config whose held transition matrix propagates by dt."""
+    return FilterConfig(_MODEL, rates, dt, propagation=method, **pulse_t)
 
 
 def test_generator_ignores_depumping():
@@ -55,8 +61,8 @@ def test_generator_ignores_depumping():
     without = TransitionRates(35.0, 50.0, 59.0, 0.0)
     for method in ("linear", "exact"):
         for belief in (Belief(0.0, 0.0, 1.0), Belief(0.2, 0.3, 0.5)):
-            expected = propagate_prior(belief, without, 1e-3, method)
-            assert propagate_prior(belief, with_d, 1e-3, method) == expected
+            expected = propagate_prior(belief, make_config(without, 1e-3, method))
+            assert propagate_prior(belief, make_config(with_d, 1e-3, method)) == expected
 
 
 def test_step_matrix_column_stochastic_exactly():
@@ -212,24 +218,23 @@ def test_step_matrix_guard():
 class TestPropagatePrior:
     def test_zero_dt_identity(self, paper_rates):
         p = Belief(0.2, 0.3, 0.5)
-        assert propagate_prior(p, paper_rates, 0.0) == p
+        assert propagate_prior(p, make_config(paper_rates, 0.0)) == p
 
     def test_single_matrix_entry(self, paper_rates):
-        out = propagate_prior(Belief(0.0, 0.0, 1.0), paper_rates, 1e-3)
+        out = propagate_prior(Belief(0.0, 0.0, 1.0), make_config(paper_rates, 1e-3))
         assert out.p0 == 0.0
         assert out.p1 == pytest.approx(0.035, abs=1e-15)
         assert out.p2 == pytest.approx(0.965, abs=1e-15)
 
     def test_stationary_fixed_point(self, paper_rates):
         p_stat = stationary_from_nullspace(full_generator(paper_rates))
-        out = propagate_prior(normalize(p_stat), paper_rates, 1e-3)
+        out = propagate_prior(normalize(p_stat), make_config(paper_rates, 1e-3))
         for a, b in zip(out.as_tuple(), p_stat):
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_guard_violation_raises(self, paper_rates):
-        for _ in range(3):  # on every call, not only the first
-            with pytest.raises(GuardViolatedError):
-                propagate_prior(Belief(0, 0, 1), paper_rates, 0.01)
+        with pytest.raises(GuardViolatedError):
+            make_config(paper_rates, 0.01)
 
     @pytest.mark.parametrize("method", ["linear", "exact"])
     def test_matches_fresh_matrix(self, method):
@@ -243,22 +248,14 @@ class TestPropagatePrior:
                 else:
                     m = expm(rates.r21, rates.r10, rates.r_repump, dt)
                 expected = normalize(m @ np.asarray(belief.as_tuple()))
-                for _ in range(2):  # the second call reads the cached matrix
-                    assert propagate_prior(belief, rates, dt, method) == expected
-
-    def test_cached_matrix_is_read_only(self, paper_rates):
-        m = transition_matrix(35.0, 50.0, 59.0, 1e-3, "linear")
-        assert m is transition_matrix(35.0, 50.0, 59.0, 1e-3, "linear")
-        assert np.array_equal(m, step_matrix(paper_rates, 1e-3))
-        with pytest.raises(ValueError):
-            m[0, 0] = 0.0
+                assert propagate_prior(belief, make_config(rates, dt, method)) == expected
 
     def test_unknown_method_rejected(self, paper_rates):
-        with pytest.raises(ValueError):
-            propagate_prior(Belief(0, 0, 1), paper_rates, 1e-3, method="euler")
+        with pytest.raises(ValueError, match="unknown propagation method 'euler'"):
+            make_config(paper_rates, 1e-3, "euler")
 
     def test_exact_mode_allows_large_dt(self, paper_rates):
-        out = propagate_prior(Belief(0.0, 0.0, 1.0), paper_rates, 0.5, method="exact")
+        out = propagate_prior(Belief(0.0, 0.0, 1.0), make_config(paper_rates, 0.5, "exact"))
         p_inf = stationary_from_nullspace(full_generator(paper_rates))
         for a, b in zip(out.as_tuple(), p_inf):
             assert a == pytest.approx(b, abs=1e-6)  # 0.5 s is ~25 relaxation times
@@ -279,8 +276,13 @@ class TestPropagatePrior:
                     assert diff < load * load
 
 
+# The held matrices of one config: linear propagation over 1 ms and both
+# pulses at T = 0.4.
+_LINEAR = make_config(_RATES, 1e-3, repump_t=0.4, depump_t=0.4)
+_EXACT = make_config(_RATES, 1e-3, "exact")
+
 # Invalid beliefs: a component that is not finite and >= 0 is rejected
-# by model.check_belief, before the product with a cached stochastic
+# by model.check_belief, before the product with a held stochastic
 # matrix (so inf * 0 cannot warn and a negative one cannot cancel) and
 # before the Bayes update weighs it. A Belief has three entries; a plain
 # sequence of another length does not unpack into one.
@@ -300,11 +302,11 @@ INVALID_BELIEFS = [
 @pytest.mark.parametrize(
     "step",
     [
-        lambda b: propagate_prior(b, TransitionRates(35.0, 50.0, 59.0), 1e-3),
-        lambda b: propagate_prior(b, TransitionRates(35.0, 50.0, 59.0), 1e-3, "exact"),
-        lambda b: pulsed_belief(b, 0.4, Pulse.REPUMP),
-        lambda b: pulsed_belief(b, 0.4, Pulse.DEPUMP),
-        lambda b: posterior_update(b, 28, PhotonCountModel((40.0, 28.0, 16.0))),
+        lambda b: propagate_prior(b, _LINEAR),
+        lambda b: propagate_prior(b, _EXACT),
+        lambda b: pulsed_belief(b, _LINEAR.repump_matrix),
+        lambda b: pulsed_belief(b, _LINEAR.depump_matrix),
+        lambda b: posterior_update(b, 28, _MODEL),
     ],
     ids=["linear", "exact", "repump", "depump", "posterior"],
 )
@@ -313,19 +315,21 @@ def test_invalid_belief_raises_normalize_error(step, belief, error):
         step(belief)
 
 
-_RATES = TransitionRates(35.0, 50.0, 59.0)
-_MODEL = PhotonCountModel((40.0, 28.0, 16.0))
+_LINEAR_DT0 = make_config(_RATES, 0.0)
+_EXACT_DT0 = make_config(_RATES, 0.0, "exact")
+# "repump" and "depump" read a config's held pulse matrices; the "_once"
+# steps build theirs for the one bin, as the optimal policy does.
 _STEPS = {
     "normalize": normalize,
-    "linear": lambda b: propagate_prior(b, _RATES, 1e-3),
-    "exact": lambda b: propagate_prior(b, _RATES, 1e-3, "exact"),
-    "linear_dt0": lambda b: propagate_prior(b, _RATES, 0.0),
-    "exact_dt0": lambda b: propagate_prior(b, _RATES, 0.0, "exact"),
+    "linear": lambda b: propagate_prior(b, _LINEAR),
+    "exact": lambda b: propagate_prior(b, _EXACT),
+    "linear_dt0": lambda b: propagate_prior(b, _LINEAR_DT0),
+    "exact_dt0": lambda b: propagate_prior(b, _EXACT_DT0),
     "posterior": lambda b: posterior_update(b, 28, _MODEL),
-    "repump": lambda b: pulsed_belief(b, 0.4, Pulse.REPUMP),
-    "depump": lambda b: pulsed_belief(b, 0.4, Pulse.DEPUMP),
-    "repump_once": lambda b: pulsed_belief_once(b, 0.4, Pulse.REPUMP),
-    "depump_once": lambda b: pulsed_belief_once(b, 0.4, Pulse.DEPUMP),
+    "repump": lambda b: pulsed_belief(b, _LINEAR.repump_matrix),
+    "depump": lambda b: pulsed_belief(b, _LINEAR.depump_matrix),
+    "repump_once": lambda b: pulsed_belief(b, build_pulse_matrix(0.4, Pulse.REPUMP)),
+    "depump_once": lambda b: pulsed_belief(b, build_pulse_matrix(0.4, Pulse.DEPUMP)),
 }
 # every step that checks its belief with model.check_belief
 _CHECKED = (
@@ -483,14 +487,15 @@ class TestApplyPulseToBelief:
     def test_identity(self):
         b = Belief(0.3, 0.4, 0.3)
         for direction in (Pulse.REPUMP, Pulse.DEPUMP):
-            assert pulsed_belief(b, 0.0, direction) == b
+            assert pulsed_belief(b, build_pulse_matrix(0.0, direction)) == b
 
     def test_saturating_repump(self):
+        m = build_pulse_matrix(1.0, Pulse.REPUMP)
         for b in (Belief(1, 0, 0), Belief(0.2, 0.5, 0.3)):
-            assert pulsed_belief(b, 1.0, Pulse.REPUMP) == Belief(0.0, 0.0, 1.0)
+            assert pulsed_belief(b, m) == Belief(0.0, 0.0, 1.0)
 
     def test_half_pulse_from_bottom(self):
-        out = pulsed_belief(Belief(1.0, 0.0, 0.0), 0.5, Pulse.REPUMP)
+        out = pulsed_belief(Belief(1.0, 0.0, 0.0), build_pulse_matrix(0.5, Pulse.REPUMP))
         assert out == Belief(0.25, 0.5, 0.25)
 
 

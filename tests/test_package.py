@@ -1,5 +1,5 @@
 """The package's public surface, and the hygiene of its sources: every
-name a module imports is used, the modules import each other without a
+name a module or a test module imports is used, the modules import each other without a
 cycle and the policy layer stays below the simulator, ``__all__`` lists
 exactly what a star import binds, and every name the benchmark harness
 wraps, counts or reads still exists."""
@@ -25,6 +25,7 @@ from telegraphctl import (
 )
 
 SRC = Path(telegraphctl.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _annotation_names(tree: ast.AST) -> set[str]:
@@ -73,17 +74,22 @@ def test_src_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_test_module_imports_only_what_it_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
 def test_unused_import_check_flags_a_reexport():
     source = (
         "from __future__ import annotations\n"
         "import math\n"
         "import numpy as np\n"
-        "from .filtering import pulse_matrix, pulsed_belief  # noqa: F401\n"
+        "from .filtering import build_pulse_matrix, pulsed_belief  # noqa: F401\n"
         "from .model import Belief\n"
         "def f(b: 'Belief') -> float:\n"
         "    return math.pi * pulsed_belief(b)\n"
     )
-    assert unused_imports(source) == [(3, "np"), (4, "pulse_matrix")]
+    assert unused_imports(source) == [(3, "np"), (4, "build_pulse_matrix")]
 
 
 def intra_package_imports(path: Path) -> set[str]:
