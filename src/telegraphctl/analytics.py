@@ -22,7 +22,7 @@ import numpy as np
 from .control import DEFAULT_TARGET
 from .errors import EmptyEnsembleError, NeverReachedError, NoEpisodesError
 from .filtering import transition_matrix
-from .model import Belief, TransitionRates, check_belief, exit_rates, normalize
+from .model import Belief, TransitionRates, check_above, check_belief, exit_rates, normalize
 
 TARGET_STATE = DEFAULT_TARGET.argmax()
 
@@ -41,11 +41,7 @@ def integrate_rate_equations(
     the matrix-exponential step and serves as the oracle for the
     linearization error.
     """
-    if not 0.0 < duration < math.inf:  # NaN too
-        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
-    if not 0.0 < dt < math.inf:  # NaN too
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    n = int(round(duration / dt))
+    n = int(round(check_above("duration", duration) / check_above("dt", dt)))
     if n < 1:
         raise ValueError("duration shorter than one step")
     m = transition_matrix(rates.r21, rates.r10, rates.r_repump, dt, method)

@@ -16,14 +16,13 @@ explicit mismatch override is set (robustness experiments only).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .control import DEFAULT_T_DEPUMP, DEFAULT_T_REPUMP, DEFAULT_TARGET, ControlPolicy
 from .errors import AllZeroError, ConfigError
 from .filtering import FilterConfig
-from .model import Belief, PhotonCountModel, TransitionRates, normalize
+from .model import Belief, PhotonCountModel, TransitionRates, check_above, normalize
 from .rategrid import GridSpec
 from .simulate import SimConfig
 
@@ -132,10 +131,7 @@ _int, _float = _number(int), _number(float)
 
 
 def _bin_time_ms(text: str, key: str) -> float:
-    value = _float(text, key)
-    if not 0.0 < value < math.inf:  # also false for NaN
-        raise ValueError(f"{key} must be finite and > 0, got {value!r}")
-    return value
+    return check_above(key, _float(text, key))
 
 
 def _text(text: str, key: str) -> str:

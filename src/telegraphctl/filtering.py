@@ -41,6 +41,7 @@ from .model import (
     TraceRecord,
     TransitionRates,
     check_belief,
+    check_nonneg,
     exit_rates,
     log_likelihoods,
     normalize_triple,
@@ -97,8 +98,7 @@ def expm(r21, r10, r_repump, dt: float) -> np.ndarray:
     reductions), so a cell's bits do not depend on the rest of the batch
     and a slice equals the scalar call's bits. dt must be finite and >= 0.
     """
-    if not 0.0 <= dt < math.inf:  # NaN too
-        raise ValueError(f"dt must be finite and >= 0, got {dt!r}")
+    check_nonneg("dt", dt)
     r21, r10, rr = np.broadcast_arrays(
         *(np.asarray(r, dtype=float) for r in (r21, r10, r_repump))
     )
@@ -149,8 +149,7 @@ def step_matrix(rates: TransitionRates, dt: float) -> np.ndarray:
     makes each column's diagonal its largest entry (the one the pinning
     adjusts). dt must be finite and >= 0.
     """
-    if not 0.0 <= dt < math.inf:  # NaN too
-        raise ValueError(f"dt must be finite and >= 0, got {dt!r}")
+    check_nonneg("dt", dt)
     load = guard_load(rates, dt)
     if not load < GUARD_LIMIT:
         raise GuardViolatedError(

@@ -43,6 +43,22 @@ def check_state(alpha: int) -> int:
     return alpha
 
 
+def check_above(name: str, value: float, low: float = 0.0) -> float:
+    """``value``, or ValueError unless it is finite and > low (NaN fails).
+    This is the one check of a scalar parameter bounded away from ``low``."""
+    if not low < value < math.inf:
+        raise ValueError(f"{name} must be finite and > {low:g}, got {value!r}")
+    return value
+
+
+def check_nonneg(name: str, value: float) -> float:
+    """``value``, or ValueError unless it is finite and >= 0 (NaN fails).
+    This is the one check of a non-negative scalar parameter."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def pin_unit_sum(values: list[float]) -> list[float]:
     """Nudge the largest entry (in place) by a few ulp until the exactly
     rounded sum (math.fsum) is 1.0; the largest entry absorbs the correction
@@ -128,9 +144,7 @@ class TransitionRates:
 
     def __post_init__(self):
         for name in ("r21", "r10", "r_repump", "r_depump"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            check_nonneg(name, getattr(self, name))
 
 
 def exit_rates(r21, r10, r_repump, r_depump=0.0):
@@ -152,8 +166,8 @@ class PhotonCountModel:
     mean_counts are counts/bin for alpha = 0, 1, 2 and must be strictly
     decreasing (more coupled atoms transmit less). family is "poisson" or
     "overdispersed"; the latter is a negative binomial with
-    variance = fano * mean. A fano that is set must be a finite number > 1
-    under either family.
+    variance = fano * mean, which requires a fano that is finite and > 1;
+    the Poisson family rejects a fano that is set.
     """
 
     mean_counts: tuple[float, float, float]
@@ -170,12 +184,13 @@ class PhotonCountModel:
             raise ValueError("mean_counts must be strictly decreasing in alpha")
         if self.family not in ("poisson", "overdispersed"):
             raise ValueError(f"unknown count family {self.family!r}")
-        if self.fano is not None and not 1.0 < self.fano < math.inf:  # NaN too
-            raise ValueError(f"fano must be a finite number > 1, got {self.fano!r}")
-        if self.family == "overdispersed" and self.fano is None:
+        if self.fano is not None:
+            check_above("fano", self.fano, 1.0)
+            if self.family == "poisson":
+                raise ValueError(f"the poisson family takes no fano, got {self.fano!r}")
+        elif self.family == "overdispersed":
             raise ValueError("overdispersed family requires fano > 1")
-        if not 0.0 < self.bin_time < math.inf:
-            raise ValueError(f"bin_time must be finite and > 0, got {self.bin_time!r}")
+        check_above("bin_time", self.bin_time)
         # log_likelihoods is memoized per (model, count), so hash once here
         # rather than in a generated __hash__ on every lookup. Only numbers
         # go in: str and None hashes vary between processes, and the value
@@ -189,7 +204,7 @@ class PhotonCountModel:
 
     def rescaled(self, bin_time: float) -> "PhotonCountModel":
         """Same count intensity expressed for a different bin length."""
-        factor = bin_time / self.bin_time
+        factor = check_above("bin_time", bin_time) / self.bin_time
         return PhotonCountModel(
             tuple(m * factor for m in self.mean_counts),
             family=self.family,

@@ -41,6 +41,7 @@ from .model import (
     PhotonCountModel,
     TraceRecord,
     check_belief,
+    check_nonneg,
     log_likelihoods,
     normalize,
 )
@@ -62,10 +63,8 @@ class GridAxis:
     n_points: int
 
     def __post_init__(self):
-        if self.min < 0.0 or not math.isfinite(self.min):
-            raise ValueError("axis min must be finite and >= 0")
-        if not math.isfinite(self.max):
-            raise ValueError("axis max must be finite")
+        check_nonneg("axis min", self.min)
+        check_nonneg("axis max", self.max)
         if self.n_points < 1:
             raise ValueError("axis needs at least one point")
         if self.n_points == 1:
@@ -307,22 +306,13 @@ class _BinMarginals:
         }
 
 
-def _check_threshold(threshold: float) -> None:
-    """The stop rule's threshold must be a finite number >= 0: NaN or
-    infinity would fire at once, and a negative threshold never."""
-    if not 0.0 <= threshold < math.inf:  # NaN too
-        raise ValueError(
-            f"stop_threshold must be a finite number >= 0, got {threshold!r}"
-        )
-
-
 def stopping_check(marginals: Iterable[RatePosterior], threshold: float = 0.10) -> bool:
     """True when every rate posterior has rms/mean at or below threshold.
     ``marginals`` are the posteriors in RATE_NAMES order (a RateMarginals,
     or an iterable that computes each as it is read); the check ends at
     the first that fails. A threshold that is not finite and >= 0 raises
-    ValueError."""
-    _check_threshold(threshold)
+    ValueError: NaN or infinity would fire at once, a negative never."""
+    check_nonneg("stop_threshold", threshold)
     for name, post in zip(RATE_NAMES, marginals):
         if post.mean == 0.0:
             if post.rms > 0.0:
@@ -372,8 +362,8 @@ def run_estimation(
     The stopping rule is evaluated after every bin. With stop_at_trigger the
     acquisition truncates there (the experimental protocol); otherwise the
     full trace is consumed and the trigger bin is only recorded, which keeps
-    the final posterior comparable across seeds. stop_threshold must be a
-    finite number >= 0, checked before the first bin.
+    the final posterior comparable across seeds. stop_threshold must be
+    finite and >= 0, checked before the first bin.
 
     The grid always propagates exactly; ``method`` stays for callers that
     name it, and any value but "exact" raises ValueError. An AllZeroError
@@ -382,7 +372,7 @@ def run_estimation(
     """
     if method != "exact":
         raise ValueError(f"the rate grid propagates exactly only, got method {method!r}")
-    _check_threshold(stop_threshold)
+    check_nonneg("stop_threshold", stop_threshold)
     if any(rec.pulse for rec in records):
         raise TraceFormatError(
             "rate estimation expects open-loop traces without pulses"

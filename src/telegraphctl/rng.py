@@ -36,6 +36,8 @@ import math
 
 import numpy as np
 
+from .model import check_above, check_nonneg
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _POISSON_CHUNK = 30.0
@@ -105,8 +107,7 @@ class PortableRandom:
         return self.uniform() < p
 
     def exponential(self, rate: float) -> float:
-        if rate <= 0.0:
-            raise ValueError("rate must be > 0")
+        check_above("rate", rate)  # before the draw
         return -math.log1p(-self.uniform()) / rate
 
     def _poisson_small(self, mean: float) -> int:
@@ -132,9 +133,7 @@ class PortableRandom:
                 return i - start - 1
 
     def poisson(self, mean: float) -> int:
-        if mean < 0.0:
-            raise ValueError("mean must be >= 0")
-        if mean == 0.0:
+        if check_nonneg("mean", mean) == 0.0:
             return 0
         total = 0
         while mean > _POISSON_CHUNK:
@@ -157,9 +156,7 @@ class PortableRandom:
 
     def gamma(self, shape: float) -> float:
         """Unit-scale Gamma(shape) variate (Marsaglia-Tsang)."""
-        if shape <= 0.0:
-            raise ValueError("shape must be > 0")
-        if shape < 1.0:
+        if check_above("shape", shape) < 1.0:
             u = self.uniform()
             while u == 0.0:
                 u = self.uniform()
@@ -180,9 +177,8 @@ class PortableRandom:
 
     def neg_binomial(self, mean: float, fano: float) -> int:
         """Over-dispersed count with the given mean and variance = fano * mean."""
-        if fano <= 1.0:
-            raise ValueError("fano must be > 1 for the over-dispersed family")
-        if mean == 0.0:
+        check_above("fano", fano, 1.0)
+        if check_nonneg("mean", mean) == 0.0:
             return 0
         shape = mean / (fano - 1.0)
         lam = self.gamma(shape) * (fano - 1.0)

@@ -17,7 +17,6 @@ up channel first.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -26,6 +25,7 @@ from .model import (
     Pulse,
     TraceRecord,
     TransitionRates,
+    check_above,
     check_state,
     exit_rates,
 )
@@ -67,8 +67,7 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.bin_time < math.inf:
-            raise ValueError(f"bin_time must be finite and > 0, got {self.bin_time!r}")
+        check_above("bin_time", self.bin_time)
         if self.n_bins <= 0:
             raise ValueError("n_bins must be > 0")
         check_state(self.initial_state)
@@ -79,9 +78,8 @@ def step_continuous_events(
 ) -> tuple[int, list[tuple[float, int]]]:
     """Hidden state after evolving ``dt`` seconds (exact Gillespie sampling)
     and the (time, new_state) jump list, with times relative to the start
-    of the interval; dt must be finite."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    of the interval; dt must be finite and > 0."""
+    check_above("dt", dt)
     check_state(state)
     totals, channels = _channel_table(
         rates.r21, rates.r10, rates.r_repump, rates.r_depump
@@ -175,8 +173,9 @@ def run_chain(
 
 
 def states_at_bin_ends(events: TraceEvents, bin_time: float) -> list[int]:
-    """Hidden state at the end of each bin of the given length."""
-    n_bins = int(round(events.duration / bin_time))
+    """Hidden state at the end of each bin of the given length, which must
+    be finite and > 0."""
+    n_bins = int(round(events.duration / check_above("bin_time", bin_time)))
     states = []
     state = events.initial_state
     pos = 0

@@ -357,7 +357,12 @@ class TestCli:
         assert "config error: line 2: filter.initial_belief: weights sum" in err
         bad.write_text("photon.fano = nan\n")
         assert main(argv) == 1
-        assert "config error: fano must be a finite number > 1" in capsys.readouterr().err
+        assert "config error: fano must be finite and > 1, got nan" in capsys.readouterr().err
+        bad.write_text("photon.family = poisson\nphoton.fano = 2.0\n")
+        assert main(argv) == 1
+        assert "config error: the poisson family takes no fano, got 2.0" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("command", ["analyze", "estimate-rates"])
     def test_malformed_trace_exit_2(self, out, tmp_path, capsys, command):
@@ -375,7 +380,8 @@ class TestCli:
         # such a count's pmf rounds to zero in every state (the float
         # arithmetic overflows), so the trace collapses to AllZeroError
         cfg = tmp_path / "family.cfg"
-        cfg.write_text(f"photon.family = {family}\nphoton.fano = 2.0\n")
+        fano = "photon.fano = 2.0\n" if family == "overdispersed" else ""
+        cfg.write_text(f"photon.family = {family}\n{fano}")
         trace = tmp_path / "big.csv"
         trace.write_text(
             f"bin_index,photon_count,pulse,true_state\n0,28,0,-1\n1,{count},0,-1\n"

@@ -212,9 +212,14 @@ class TestPhotonCountModel:
     @pytest.mark.parametrize("family", ["poisson", "overdispersed"])
     @pytest.mark.parametrize("fano", [math.nan, -3.0, 0.5, 1.0, math.inf])
     def test_set_fano_must_be_finite_above_one(self, family, fano):
-        # also under the Poisson family, which ignores the value
-        with pytest.raises(ValueError, match="fano"):
+        # the range is checked first under either family
+        with pytest.raises(ValueError, match=r"^fano must be finite and > 1, got "):
             PhotonCountModel((40.0, 28.0, 16.0), family=family, fano=fano)
+
+    def test_poisson_family_rejects_a_set_fano(self):
+        # a value the Poisson family would ignore is an error, not a no-op
+        with pytest.raises(ValueError, match=r"^the poisson family takes no fano, got 2\.0$"):
+            PhotonCountModel((40.0, 28.0, 16.0), family="poisson", fano=2.0)
 
     def test_poisson_pmf_matches_scipy(self, default_model):
         for alpha, mean in enumerate(default_model.mean_counts):
@@ -297,6 +302,14 @@ class TestPhotonCountModel:
     def test_requires_finite_bin_time(self, bin_time):
         with pytest.raises(ValueError, match="bin_time must be finite and > 0"):
             PhotonCountModel((40.0, 28.0, 16.0), bin_time=bin_time)
+
+    @pytest.mark.parametrize("bin_time", [0.0, -1e-3, math.inf, math.nan])
+    def test_rescaled_requires_finite_bin_time(self, default_model, bin_time):
+        # checked before the division, not through the rescaled mean counts
+        with pytest.raises(
+            ValueError, match=rf"^bin_time must be finite and > 0, got {bin_time!r}$"
+        ):
+            default_model.rescaled(bin_time)
 
     def test_log_likelihoods_memoized(self, default_model):
         assert log_likelihoods(default_model, 16) is log_likelihoods(default_model, 16)

@@ -227,10 +227,17 @@ def test_benchmark_estimation_call_runs():
     assert result.n_bins == 1
 
 
-def test_belief_rule_written_once():
-    # model.check_belief is the one check of a belief: its message appears
-    # once in the sources, in that function
-    message = "belief must be finite and >= 0"
+@pytest.mark.parametrize(
+    "helper, message",
+    [
+        ("check_belief", "belief must be finite and >= 0"),
+        ("check_above", "{name} must be finite and > {low:g}, got {value!r}"),
+        ("check_nonneg", "{name} must be finite and >= 0, got {value!r}"),
+    ],
+    ids=["check_belief", "check_above", "check_nonneg"],
+)
+def test_rule_written_once(helper, message):
+    # each rule's message appears once in the sources, in its helper in model
     counts = {
         p.name: p.read_text(encoding="utf-8").count(message) for p in SRC.glob("*.py")
     }
@@ -239,6 +246,29 @@ def test_belief_rule_written_once():
     (check,) = [
         node
         for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef) and node.name == "check_belief"
+        if isinstance(node, ast.FunctionDef) and node.name == helper
     ]
     assert message in ast.get_source_segment(source, check)
+
+
+def test_finiteness_messages_raised_in_model_helpers_only():
+    # no module writes its own "must be finite" check: every such message
+    # is raised by one of model's four checks
+    raisers = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and "must be finite" in str(c.value)
+                    for c in ast.walk(node)
+                ):
+                    raisers.add(f"{path.stem}.{func.name}")
+    assert raisers == {
+        "model.check_belief",
+        "model.normalize_triple",
+        "model.check_above",
+        "model.check_nonneg",
+    }

@@ -149,7 +149,7 @@ class TestStoppingCheck:
         marg = marginal_rates(init_flat(single_cell_spec(paper_rates), DELTA2))
         if raises:
             with pytest.raises(
-                ValueError, match=r"^stop_threshold must be a finite number >= 0, got "
+                ValueError, match=r"^stop_threshold must be finite and >= 0, got "
             ):
                 stopping_check(marg, threshold)
         else:

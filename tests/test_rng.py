@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,39 @@ def test_recorded_seed42_outputs():
     assert rng.poisson(45.3) == 35
     assert rng.neg_binomial(28.0, 2.0) == 18
     assert rng.next_u64() == 0xCED35AAE88A21C53
+
+
+# Without the checks the first four calls never return (the samplers' loops
+# compare against NaN or infinity) and the last two return NaN, so the calls
+# run in a child process that a hang kills at the timeout.
+_NON_FINITE_CALLS = {
+    "poisson(nan)": "mean must be finite and >= 0, got nan",
+    "poisson(inf)": "mean must be finite and >= 0, got inf",
+    "neg_binomial(5.0, nan)": "fano must be finite and > 1, got nan",
+    "neg_binomial(inf, 2.0)": "mean must be finite and >= 0, got inf",
+    "exponential(nan)": "rate must be finite and > 0, got nan",
+    "gamma(nan)": "shape must be finite and > 0, got nan",
+}
+
+
+def test_samplers_reject_non_finite_parameters():
+    code = (
+        "from math import inf, nan\n"
+        "from telegraphctl.rng import PortableRandom\n"
+        "rng = PortableRandom(1)\n"
+        f"for call in {list(_NON_FINITE_CALLS)!r}:\n"
+        "    try:\n"
+        "        print(call, 'returned', eval('rng.' + call))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    assert proc.stdout.splitlines() == list(_NON_FINITE_CALLS.values())
 
 
 def test_exponential_inverse_cdf_mean():

@@ -266,6 +266,16 @@ def test_run_chain_and_bin_end_states(paper_rates):
         assert states[i] == state
 
 
+@pytest.mark.parametrize("bin_time", [0.0, -1e-3, math.inf, math.nan])
+def test_bin_end_states_require_finite_bin_time(bin_time, paper_rates):
+    # checked before the division, so no length divides by zero or gives []
+    events = run_chain(paper_rates, 0.01, 2, 77)
+    with pytest.raises(
+        ValueError, match=rf"^bin_time must be finite and > 0, got {bin_time!r}$"
+    ):
+        states_at_bin_ends(events, bin_time)
+
+
 # sha256 of each seed's trace text and exact event times (as hex) for
 # seeds 1, 42 and 777, recorded on the code before the per-run channel
 # table: open loop (1000 bins at the paper's rates) and 300-bin closed
